@@ -127,7 +127,9 @@ std::unique_ptr<Tree> BuildTree(int depth, int fanout) {
         const std::string child = below[static_cast<std::size_t>(c)];
         transport::InProcNetwork& net = tree->net;
         (void)node->AddDownstream(
-            {child, [&net, child] { return net.Dial(child); }});
+            {.name = child,
+             .dialer = [&net, child] { return net.Dial(child); },
+             .auth_payload = ""});
       }
       if (!is_root) {
         auto listener = tree->net.Listen(name);
@@ -224,7 +226,10 @@ std::uint64_t LeafWireRecords(bool pushdown) {
   options.lazy_base_stream = true;
   federation::RepublisherGateway site("site", clock, options);
   (void)site.AddDownstream(
-      {"leaf", [&net] { return net.Dial("leaf"); }, pushdown});
+      {.name = "leaf",
+       .dialer = [&net] { return net.Dial("leaf"); },
+       .supports_pushdown = pushdown,
+       .auth_payload = ""});
 
   std::uint64_t delivered = 0;
   (void)site.SubscribeEncoded(
@@ -271,7 +276,9 @@ std::size_t LeafStreams(int root_subscribers) {
   federation::RepublisherGateway::Options options;
   options.lazy_base_stream = true;
   federation::RepublisherGateway site("site", clock, options);
-  (void)site.AddDownstream({"leaf", [&net] { return net.Dial("leaf"); }});
+  (void)site.AddDownstream({.name = "leaf",
+                            .dialer = [&net] { return net.Dial("leaf"); },
+                            .auth_payload = ""});
   for (int i = 0; i < root_subscribers; ++i) {
     (void)site.SubscribeEncoded("c" + std::to_string(i), CpuSpec(),
                                 [](const ulm::EncodedRecord&) {});

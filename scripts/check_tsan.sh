@@ -14,7 +14,7 @@
 # snapshot reads racing structural writes and the reaper (label
 # "directory", ISSUE 9), the flat
 # ULM core (label "ulm", ISSUE 7): the lock-free symbol-interning table
-# and the MPSC ring channel's multi-producer stress tests, and the
+# and the in-proc channels' multi-producer stress tests, and the
 # security fast path (label "security", ISSUE 10): decision-cache lookups
 # and token mint/adopt racing policy reloads and re-authentication churn,
 # plus the wire-format fuzz corpus. This script

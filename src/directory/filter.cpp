@@ -16,9 +16,11 @@ namespace {
 
 using Node = Filter::Node;
 
-// Recursive descent over "(...)" — `i` points at the expected '('.
+// Recursive descent over "(...)" — `i` points at the expected '(' and
+// `depth` counts the levels open including this one.
 Result<std::shared_ptr<const Node>> ParseNode(std::string_view text,
-                                              std::size_t& i);
+                                              std::size_t& i,
+                                              std::size_t depth);
 
 Result<std::shared_ptr<const Node>> ParseLeaf(std::string_view body) {
   // body is "attr<op>value" with op in {=, >=, <=}.
@@ -54,10 +56,15 @@ Result<std::shared_ptr<const Node>> ParseLeaf(std::string_view body) {
 }
 
 Result<std::shared_ptr<const Node>> ParseNode(std::string_view text,
-                                              std::size_t& i) {
+                                              std::size_t& i,
+                                              std::size_t depth) {
   if (i >= text.size() || text[i] != '(') {
     return Status::ParseError("filter: expected '(' at offset " +
                               std::to_string(i));
+  }
+  if (depth > Filter::kMaxDepth) {
+    return Status::ParseError("filter: nested deeper than " +
+                              std::to_string(Filter::kMaxDepth));
   }
   ++i;
   if (i >= text.size()) return Status::ParseError("filter: truncated");
@@ -67,7 +74,7 @@ Result<std::shared_ptr<const Node>> ParseNode(std::string_view text,
     auto node = std::make_shared<Node>();
     node->kind = op == '&' ? Node::Kind::kAnd : Node::Kind::kOr;
     while (i < text.size() && text[i] == '(') {
-      auto child = ParseNode(text, i);
+      auto child = ParseNode(text, i, depth + 1);
       if (!child.ok()) return child;
       node->children.push_back(*child);
     }
@@ -82,7 +89,7 @@ Result<std::shared_ptr<const Node>> ParseNode(std::string_view text,
   }
   if (op == '!') {
     ++i;
-    auto child = ParseNode(text, i);
+    auto child = ParseNode(text, i, depth + 1);
     if (!child.ok()) return child;
     if (i >= text.size() || text[i] != ')') {
       return Status::ParseError("filter: expected ')' closing negation");
@@ -188,7 +195,7 @@ std::string NodeToString(const Node& node) {
 Result<Filter> Filter::Parse(std::string_view text) {
   std::string_view trimmed = TrimView(text);
   std::size_t i = 0;
-  auto root = ParseNode(trimmed, i);
+  auto root = ParseNode(trimmed, i, 1);
   if (!root.ok()) return root.status();
   if (i != trimmed.size()) {
     return Status::ParseError("filter: trailing characters after ')'");

@@ -8,6 +8,7 @@
 // numbers, else lexicographic).
 #pragma once
 
+#include <cstddef>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -20,7 +21,13 @@ namespace jamm::directory {
 
 class Filter {
  public:
+  /// Deepest accepted nesting of parenthesized nodes (the bare leaf
+  /// "(a=b)" is depth 1). Parsing recurses once per level, so the bound
+  /// keeps a hostile filter from overflowing the stack.
+  static constexpr std::size_t kMaxDepth = 64;
+
   /// Parse an RFC1960 filter string; the outer parentheses are required.
+  /// Nesting deeper than kMaxDepth is a ParseError.
   static Result<Filter> Parse(std::string_view text);
 
   /// Matches everything — "(objectclass=*)" shorthand.

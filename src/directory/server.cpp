@@ -113,10 +113,6 @@ void DirectoryServer::CommitLocked(Txn* txn, std::vector<Change> changes) {
       snap_ = txn->snap;
     }
     counters_.snapshot_swaps.fetch_add(1, std::memory_order_relaxed);
-    // Structural writes invalidate the read-optimized cache — lease
-    // renewals (no snapshot swap) deliberately don't.
-    std::lock_guard<std::mutex> cache_lock(cache_mu_);
-    search_cache_.clear();
   }
 }
 
@@ -417,8 +413,7 @@ Result<std::size_t> DirectoryServer::RenewLeases(const std::vector<Dn>& dns,
     }
     if (node->lease) {
       // The hot path: an atomic store into the shared cell. No bucket
-      // clone, no snapshot swap, no cache invalidation — every read
-      // restamps from the cell.
+      // clone, no snapshot swap — every read restamps from the cell.
       node->lease->expires.store(expiry, std::memory_order_relaxed);
     } else {
       // First renewal of an unleased entry: attach a cell (structural).
@@ -530,12 +525,6 @@ Result<Entry> DirectoryServer::Lookup(const Dn& dn,
   return Materialize(*node);
 }
 
-std::string DirectoryServer::CacheKey(const Dn& base, SearchScope scope,
-                                      const Filter& filter) const {
-  return base.ToString() + "\x1f" +
-         std::to_string(static_cast<int>(scope)) + "\x1f" + filter.ToString();
-}
-
 Result<SearchResult> DirectoryServer::Search(
     const Dn& base, SearchScope scope, const Filter& filter,
     const std::string& principal, bool live_only) const {
@@ -547,75 +536,45 @@ Result<SearchResult> DirectoryServer::Search(
                                    address_);
   }
   counters_.reads.fetch_add(1, std::memory_order_relaxed);
+  // One pass over one snapshot: `snap` keeps every matched node alive until
+  // it is materialized, so the result is exactly this generation's view.
   auto snap = LoadSnapshot();
-
-  // The cache stores DN keys, never entry bodies: hits re-materialize from
-  // the live snapshot, so lease values are always the authoritative cell
-  // (a cached result can neither resurrect the reaped nor hide the
-  // renewed) and entry attributes are current. Structural writes clear it.
-  const auto materialize_keys =
-      [&](const std::vector<std::string>& keys,
-          std::vector<Referral> referrals) -> SearchResult {
-    SearchResult out;
-    out.referrals = std::move(referrals);
-    const TimePoint now = live_only ? clock->Now() : 0;
-    out.entries.reserve(keys.size());
-    for (const std::string& key : keys) {
-      const Node* node = FindNode(*snap, key);
-      if (node == nullptr) continue;  // raced a structural delete
-      if (live_only && !LiveAt(*node, now)) {
-        counters_.live_only_filtered.fetch_add(1, std::memory_order_relaxed);
-        LeaseInstruments().live_only_filtered.Increment();
-        continue;
-      }
-      out.entries.push_back(Materialize(*node));
-    }
-    return out;
-  };
-
-  const std::string cache_key = CacheKey(base, scope, filter);
-  std::optional<CachedSearch> cached;
-  {
-    std::lock_guard<std::mutex> cache_lock(cache_mu_);
-    if (auto it = search_cache_.find(cache_key); it != search_cache_.end()) {
-      counters_.cache_hits.fetch_add(1, std::memory_order_relaxed);
-      cached = it->second;
-    } else {
-      counters_.cache_misses.fetch_add(1, std::memory_order_relaxed);
-    }
-  }
-  if (cached) {
-    // Materialize outside the cache lock: keys → current snapshot nodes.
-    return materialize_keys(cached->keys, std::move(cached->referrals));
-  }
-
-  std::vector<std::string> keys;
+  std::vector<const Bucket::value_type*> hits;
   for (const auto& bucket : snap->buckets) {
     if (!bucket) continue;
-    for (const auto& [key, node] : *bucket) {
-      const Dn& dn = node.entry->dn();
+    for (const auto& hit : *bucket) {
+      const Entry& entry = *hit.second.entry;
+      const Dn& dn = entry.dn();
       const bool in_scope = scope == SearchScope::kBase
                                 ? dn == base
                                 : scope == SearchScope::kOneLevel
                                       ? dn.IsChildOf(base)
                                       : dn.IsUnder(base);
-      if (in_scope && filter.Matches(*node.entry)) keys.push_back(key);
+      if (in_scope && filter.Matches(entry)) hits.push_back(&hit);
     }
   }
-  std::sort(keys.begin(), keys.end());  // buckets iterate hashed; callers
-                                        // expect DN order
+  // Buckets iterate hashed; callers expect DN order.
+  std::sort(hits.begin(), hits.end(),
+            [](const auto* a, const auto* b) { return a->first < b->first; });
+
+  SearchResult out;
+  const TimePoint now = live_only ? clock->Now() : 0;
+  out.entries.reserve(hits.size());
+  for (const auto* hit : hits) {
+    if (live_only && !LiveAt(hit->second, now)) {
+      counters_.live_only_filtered.fetch_add(1, std::memory_order_relaxed);
+      LeaseInstruments().live_only_filtered.Increment();
+      continue;
+    }
+    out.entries.push_back(Materialize(hit->second));
+  }
   // Continuation references: referrals whose subtree intersects the search.
-  std::vector<Referral> referrals;
   for (const auto& ref : snap->referrals) {
     if (ref.suffix.IsUnder(base) || base.IsUnder(ref.suffix)) {
-      referrals.push_back(ref);
+      out.referrals.push_back(ref);
     }
   }
-  {
-    std::lock_guard<std::mutex> cache_lock(cache_mu_);
-    search_cache_[cache_key] = CachedSearch{keys, referrals};
-  }
-  return materialize_keys(keys, std::move(referrals));
+  return out;
 }
 
 // ------------------------------------------------------ bind / access
@@ -779,8 +738,6 @@ void DirectoryServer::Crash() {
   }
   next_seq_ = 1;
   last_seq_.store(0, std::memory_order_release);
-  std::lock_guard<std::mutex> cache_lock(cache_mu_);
-  search_cache_.clear();
 }
 
 DirectoryServer::RecoveryStats DirectoryServer::Restart() {
@@ -807,10 +764,6 @@ DirectoryServer::RecoveryStats DirectoryServer::Restart() {
     snap_ = txn.snap;
   }
   counters_.snapshot_swaps.fetch_add(1, std::memory_order_relaxed);
-  {
-    std::lock_guard<std::mutex> cache_lock(cache_mu_);
-    search_cache_.clear();
-  }
   alive_.store(true, std::memory_order_release);
   return stats;
 }
@@ -821,8 +774,6 @@ DirectoryServer::Stats DirectoryServer::stats() const {
   Stats s;
   s.reads = counters_.reads.load(std::memory_order_relaxed);
   s.writes = counters_.writes.load(std::memory_order_relaxed);
-  s.cache_hits = counters_.cache_hits.load(std::memory_order_relaxed);
-  s.cache_misses = counters_.cache_misses.load(std::memory_order_relaxed);
   s.entries = LoadSnapshot()->entry_count;
   s.leases_renewed = counters_.leases_renewed.load(std::memory_order_relaxed);
   s.leases_expired = counters_.leases_expired.load(std::memory_order_relaxed);

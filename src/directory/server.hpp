@@ -16,11 +16,9 @@
 //  * Lease renewals are not structural. Each leased entry owns a
 //    LeaseCell (an atomic expiry shared by every snapshot generation), so
 //    a heartbeat batch is a hash lookup plus an atomic store per entry —
-//    no bucket cloning, no snapshot swap, no search-cache invalidation.
-//    Reads restamp `leaseexpires` from the cell, so every read — cached,
-//    uncached, live or plain — sees the authoritative lease (the PR-4
-//    staleness bug: a cached SearchResult used to carry the pre-renewal
-//    expiry).
+//    no bucket cloning, no snapshot swap. Reads restamp `leaseexpires`
+//    from the cell, so every read, live or plain, sees the authoritative
+//    lease.
 //
 //  * Write-ahead log — every acked change is serialized, checksummed and
 //    fsync-simulated (group commit per batch) into a WalStorage that
@@ -28,11 +26,12 @@
 //    tail) back to exactly the last acked write. The WAL doubles as the
 //    replication feed (replication.hpp ships committed frames by offset).
 //
-// Read-optimization is still modeled the way real slapd behaves: repeated
-// searches hit a result cache invalidated by structural writes. This
-// reproduces the paper's observation that "current implementations of
-// LDAP servers are optimized for read access, and do not work well in an
-// environment with many updates" — measurable in bench_directory (E9).
+// The paper's observation that LDAP servers "are optimized for read
+// access, and do not work well in an environment with many updates"
+// survives as a cost asymmetry: a search is one pass over a published
+// snapshot, while a structural write clones buckets, commits the WAL and
+// swaps the snapshot (bench_directory, E9). Reads do not slow down under
+// writes; there is no result cache for a write to invalidate.
 #pragma once
 
 #include <array>
@@ -143,9 +142,9 @@ class DirectoryServer {
   /// Missing entries (already reaped or referred to another shard — the
   /// owner should re-publish through the pool) are appended to `missing`
   /// when given. Renewals are atomic stores into the entries' lease
-  /// cells plus one WAL group commit: no snapshot swap, no search-cache
-  /// invalidation, and every read restamps from the cell so nothing
-  /// stale is ever served. Returns renewals.
+  /// cells plus one WAL group commit: no snapshot swap, and every read
+  /// restamps from the cell so nothing stale is ever served. Returns
+  /// renewals.
   Result<std::size_t> RenewLeases(const std::vector<Dn>& dns, TimePoint expiry,
                                   const std::string& principal = "",
                                   std::vector<Dn>* missing = nullptr);
@@ -163,6 +162,7 @@ class DirectoryServer {
   // -------------------------------------------------------------- reads
   //
   // Reads never take the write lock: they walk the published snapshot.
+  // Search scans one snapshot once and returns its matches in DN order.
 
   /// `live_only` (ISSUE 4) filters out entries whose lease has expired but
   /// that the reaper has not yet swept — consumers never dial the dead.
@@ -239,8 +239,8 @@ class DirectoryServer {
   bool alive() const;
 
   /// Hard crash: every volatile structure (entry tree, lease cells,
-  /// search cache, sequence counter) is lost, along with any WAL bytes
-  /// not yet fsync-simulated. The server is down until Restart().
+  /// sequence counter) is lost, along with any WAL bytes not yet
+  /// fsync-simulated. The server is down until Restart().
   /// Deployment configuration (clock, credentials, access checker)
   /// survives, as it would in config files.
   void Crash();
@@ -262,8 +262,6 @@ class DirectoryServer {
   struct Stats {
     std::uint64_t reads = 0;
     std::uint64_t writes = 0;
-    std::uint64_t cache_hits = 0;
-    std::uint64_t cache_misses = 0;
     std::uint64_t entries = 0;
     std::uint64_t leases_renewed = 0;   // heartbeat renewals applied
     std::uint64_t leases_expired = 0;   // entries tombstoned by the reaper
@@ -313,8 +311,8 @@ class DirectoryServer {
 
   Txn BeginTxn();
   Bucket& MutableBucket(Txn& txn, std::size_t index);
-  /// Append `changes` to the WAL, group-commit, publish the txn snapshot
-  /// (if dirty) and clear the search cache. The single ack barrier.
+  /// Append `changes` to the WAL, group-commit and publish the txn
+  /// snapshot (if dirty). The single ack barrier.
   void CommitLocked(Txn* txn, std::vector<Change> changes);
 
   Status AddTxn(Txn& txn, const Entry& entry);
@@ -329,8 +327,6 @@ class DirectoryServer {
   Status CheckAlive() const;
   static std::optional<Referral> MatchReferralIn(const Snapshot& snap,
                                                  const Dn& dn);
-  std::string CacheKey(const Dn& base, SearchScope scope,
-                       const Filter& filter) const;
 
   Dn suffix_;
   std::string address_;
@@ -355,22 +351,9 @@ class DirectoryServer {
   std::shared_ptr<const AccessChecker> access_checker_;  // under snap_mu_
   std::shared_ptr<const Snapshot> snap_;                 // under snap_mu_
 
-  // Read-optimization model: search-result cache invalidated by structural
-  // writes (snapshot swaps). Caches DN keys, not entries — hits
-  // materialize from the live snapshot, so lease values and entry bodies
-  // are always authoritative.
-  struct CachedSearch {
-    std::vector<std::string> keys;
-    std::vector<Referral> referrals;
-  };
-  mutable std::mutex cache_mu_;
-  mutable std::map<std::string, CachedSearch> search_cache_;
-
   struct Counters {
     std::atomic<std::uint64_t> reads{0};
     std::atomic<std::uint64_t> writes{0};
-    std::atomic<std::uint64_t> cache_hits{0};
-    std::atomic<std::uint64_t> cache_misses{0};
     std::atomic<std::uint64_t> leases_renewed{0};
     std::atomic<std::uint64_t> leases_expired{0};
     std::atomic<std::uint64_t> live_only_filtered{0};

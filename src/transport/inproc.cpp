@@ -1,7 +1,5 @@
 #include "transport/inproc.hpp"
 
-#include "transport/ring.hpp"
-
 namespace jamm::transport {
 namespace {
 
@@ -136,10 +134,7 @@ Result<std::unique_ptr<Channel>> InProcNetwork::Dial(const std::string& name) {
     }
     pending = it->second.pending;
   }
-  auto [client, server] =
-      opts_.ring_channels
-          ? MakeRingChannelPair(name, opts_.channel_capacity)
-          : MakeChannelPair(name, opts_.channel_capacity);
+  auto [client, server] = MakeChannelPair(name);
   if (!pending->TryPush(std::move(server))) {
     return Status::Unavailable("listener backlog full or closed: " + name);
   }

@@ -194,6 +194,106 @@ TEST(FilterTest, PropertyRandomFiltersAgreeWithDirectEval) {
   }
 }
 
+/// `levels` copies of `open` ("(!" or "(&") around one leaf: the leaf is
+/// depth 1, so the whole filter is depth `levels + 1`.
+std::string NestedFilter(std::string_view open, std::size_t levels) {
+  std::string text;
+  text.reserve(levels * (open.size() + 1) + 5);
+  for (std::size_t i = 0; i < levels; ++i) text += open;
+  text += "(a=b)";
+  text.append(levels, ')');
+  return text;
+}
+
+TEST(FilterTest, NestingDepthIsBounded) {
+  for (std::string_view open : {"(!", "(&", "(|"}) {
+    EXPECT_TRUE(Filter::Parse(NestedFilter(open, Filter::kMaxDepth - 1)).ok())
+        << open;
+    EXPECT_EQ(Filter::Parse(NestedFilter(open, Filter::kMaxDepth))
+                  .status()
+                  .code(),
+              StatusCode::kParseError)
+        << open;
+  }
+  // Deep enough to overflow the stack of an unbounded recursive parser.
+  EXPECT_EQ(Filter::Parse(NestedFilter("(!", 100000)).status().code(),
+            StatusCode::kParseError);
+}
+
+/// A random valid filter over a small alphabet, at most `depth` levels.
+std::string CorpusFilter(Rng& rng, int depth) {
+  static const char* const kAttrs[] = {"objectclass", "SensorType", "host",
+                                       "port", "a"};
+  static const char* const kValues[] = {"*", "cpu", "dpss*.lbl.gov", "8080",
+                                        "*x*", "", "jammSensor"};
+  if (depth > 1 && rng.Chance(0.5)) {
+    const int kind = static_cast<int>(rng.Uniform(0, 2));
+    if (kind == 2) return "(!" + CorpusFilter(rng, depth - 1) + ")";
+    std::string out = kind == 0 ? "(&" : "(|";
+    const int children = static_cast<int>(rng.Uniform(1, 3));
+    for (int c = 0; c < children; ++c) out += CorpusFilter(rng, depth - 1);
+    return out + ")";
+  }
+  static const char* const kOps[] = {"=", ">=", "<="};
+  return std::string("(") + kAttrs[rng.Uniform(0, 4)] +
+         kOps[rng.Uniform(0, 2)] + kValues[rng.Uniform(0, 6)] + ")";
+}
+
+/// The parser contract under fire: any input parses or fails cleanly, and
+/// whatever parses evaluates and round-trips through ToString.
+void MustParseSafely(const std::string& text) {
+  auto parsed = Filter::Parse(text);
+  if (!parsed.ok()) return;  // clean rejection is success
+  (void)parsed->Matches(SensorEntry());
+  const std::string canonical = parsed->ToString();
+  auto again = Filter::Parse(canonical);
+  ASSERT_TRUE(again.ok()) << "canonical form of '" << text
+                          << "' does not parse: " << canonical;
+  EXPECT_EQ(again->ToString(), canonical) << text;
+}
+
+TEST(FilterFuzzTest, TruncationsSplicesAndByteFlipsParseOrError) {
+  // Seeded corpus in the style of ulm_fuzz_test: deterministic, so a
+  // failure reproduces from the trial number.
+  Rng rng(0xF17E01);
+  static const char kInteresting[] = "()&|!=<>* \0";
+  for (int trial = 0; trial < 3000; ++trial) {
+    const std::string base = CorpusFilter(rng, 5);
+    MustParseSafely(base);
+    ASSERT_TRUE(Filter::Parse(base).ok()) << base;
+    // Every truncation.
+    for (std::size_t cut = 0; cut < base.size(); ++cut) {
+      MustParseSafely(base.substr(0, cut));
+    }
+    // A splice of two valid filters at random cut points.
+    const std::string other = CorpusFilter(rng, 5);
+    auto cut = [&rng](const std::string& text) {
+      return static_cast<std::size_t>(
+          rng.Uniform(0, static_cast<std::int64_t>(text.size())));
+    };
+    const std::size_t head = cut(base);
+    const std::size_t tail = cut(other);
+    MustParseSafely(base.substr(0, head) + other.substr(tail));
+    // 1–6 byte flips, insertions or deletions, biased to syntax bytes.
+    std::string mutant = base;
+    const int edits = static_cast<int>(rng.Uniform(1, 6));
+    for (int e = 0; e < edits && !mutant.empty(); ++e) {
+      const std::size_t pos = static_cast<std::size_t>(
+          rng.Uniform(0, static_cast<std::int64_t>(mutant.size()) - 1));
+      const char byte =
+          rng.Chance(0.7)
+              ? kInteresting[rng.Uniform(0, sizeof(kInteresting) - 2)]
+              : static_cast<char>(rng.Uniform(0, 255));
+      switch (rng.Uniform(0, 2)) {
+        case 0: mutant[pos] = byte; break;
+        case 1: mutant.insert(pos, 1, byte); break;
+        default: mutant.erase(pos, 1); break;
+      }
+    }
+    MustParseSafely(mutant);
+  }
+}
+
 // ----------------------------------------------------------------- Server
 
 class ServerTest : public ::testing::Test {
@@ -287,19 +387,38 @@ TEST_F(ServerTest, SearchScopes) {
   EXPECT_EQ(cpu->entries.size(), 2u);
 }
 
-TEST_F(ServerTest, SearchCacheHitsUntilWrite) {
-  AddHostAndSensor("dpss1", "vmstat");
-  const Filter f = MustFilter("(objectclass=jammSensor)");
-  (void)server_.Search(suffix_, SearchScope::kSubtree, f);
-  (void)server_.Search(suffix_, SearchScope::kSubtree, f);
-  (void)server_.Search(suffix_, SearchScope::kSubtree, f);
-  auto stats = server_.stats();
-  EXPECT_EQ(stats.cache_hits, 2u);
-  AddHostAndSensor("dpss2", "vmstat");  // write invalidates
-  (void)server_.Search(suffix_, SearchScope::kSubtree, f);
-  stats = server_.stats();
-  EXPECT_EQ(stats.cache_hits, 2u);  // this one missed
-  EXPECT_GE(stats.cache_misses, 2u);
+// A search must see every structural write acked before it began, even
+// with other searches in flight: a result computed from an older snapshot
+// must never be served after the write. The looping reader keeps scans
+// running across every add and delete.
+TEST_F(ServerTest, SearchSeesEveryAckedStructuralWrite) {
+  ASSERT_TRUE(server_.Upsert(schema::MakeHostEntry(suffix_, "dpss1")).ok());
+  const Entry sensor = schema::MakeSensorEntry(
+      suffix_, "dpss1", "vmstat", "cpu", "inproc:gw.dpss1", 1000, 0);
+  const Filter filter = MustFilter("(objectclass=jammSensor)");
+  std::atomic<bool> stop{false};
+  std::thread reader([&] {
+    while (!stop.load(std::memory_order_relaxed)) {
+      (void)server_.Search(suffix_, SearchScope::kSubtree, filter);
+    }
+  });
+  auto count = [&]() -> std::size_t {
+    auto result = server_.Search(suffix_, SearchScope::kSubtree, filter);
+    return result.ok() ? result->entries.size() : SIZE_MAX;
+  };
+  constexpr int kIterations = 100000;
+  int failed_writes = 0;
+  int stale = 0;
+  for (int i = 0; i < kIterations; ++i) {
+    if (!server_.Add(sensor).ok()) ++failed_writes;
+    if (count() != 1) ++stale;
+    if (!server_.Delete(sensor.dn()).ok()) ++failed_writes;
+    if (count() != 0) ++stale;
+  }
+  stop.store(true, std::memory_order_relaxed);
+  reader.join();
+  EXPECT_EQ(failed_writes, 0);
+  EXPECT_EQ(stale, 0) << "searches missed an acked add or delete";
 }
 
 TEST_F(ServerTest, ReferralsReturnedForIntersectingSubtrees) {
@@ -887,10 +1006,10 @@ TEST_F(RecoveryTest, UpsertBatchIsOneGroupCommit) {
             StatusCode::kNotFound);
 }
 
-// The PR-4 staleness regression (ISSUE 9 satellite): a cached plain Search
-// used to carry the pre-renewal `leaseexpires`. Hits now re-materialize
-// from the authoritative lease cell.
-TEST_F(LeaseTest, CachedSearchServesRenewedLease) {
+// The PR-4 staleness regression (ISSUE 9 satellite): a plain Search used
+// to carry the pre-renewal `leaseexpires`. A renewal stores into the lease
+// cell without publishing a snapshot, and every search restamps from it.
+TEST_F(LeaseTest, SearchServesRenewedLease) {
   Dn dn = AddLeasedSensor("dpss1", "vmstat", 10 * kSecond);
   Filter sensors = MustFilter("(objectclass=jammSensor)");
   auto warm = server_.Search(suffix_, SearchScope::kSubtree, sensors);
@@ -898,14 +1017,14 @@ TEST_F(LeaseTest, CachedSearchServesRenewedLease) {
   ASSERT_EQ(warm->entries.size(), 1u);
   EXPECT_EQ(*schema::LeaseExpiry(warm->entries[0]), 10 * kSecond);
 
+  const auto swaps_before = server_.stats().snapshot_swaps;
   ASSERT_TRUE(server_.RenewLeases({dn}, 300 * kSecond).ok());
+  EXPECT_EQ(server_.stats().snapshot_swaps, swaps_before);  // not structural
 
-  const auto hits_before = server_.stats().cache_hits;
-  auto cached = server_.Search(suffix_, SearchScope::kSubtree, sensors);
-  ASSERT_TRUE(cached.ok());
-  EXPECT_EQ(server_.stats().cache_hits, hits_before + 1);  // renewal kept it
-  ASSERT_EQ(cached->entries.size(), 1u);
-  EXPECT_EQ(*schema::LeaseExpiry(cached->entries[0]), 300 * kSecond);
+  auto renewed = server_.Search(suffix_, SearchScope::kSubtree, sensors);
+  ASSERT_TRUE(renewed.ok());
+  ASSERT_EQ(renewed->entries.size(), 1u);
+  EXPECT_EQ(*schema::LeaseExpiry(renewed->entries[0]), 300 * kSecond);
 }
 
 // ------------------------------------------- RCU snapshot reads (ISSUE 9)

@@ -84,7 +84,10 @@ TEST(FederationTest, DepthThreeDeliversLeafEventToRootViaPushdown) {
 
   RepublisherGateway site("site", clock, lazy);
   ASSERT_TRUE(
-      site.AddDownstream({"leaf", [&net] { return net.Dial("leaf"); }, true})
+      site.AddDownstream({.name = "leaf",
+                          .dialer = [&net] { return net.Dial("leaf"); },
+                          .supports_pushdown = true,
+                          .auth_payload = ""})
           .ok());
   auto site_listener = net.Listen("site");
   ASSERT_TRUE(site_listener.ok());
@@ -92,7 +95,10 @@ TEST(FederationTest, DepthThreeDeliversLeafEventToRootViaPushdown) {
 
   RepublisherGateway region("region", clock, lazy);
   ASSERT_TRUE(
-      region.AddDownstream({"site", [&net] { return net.Dial("site"); }, true})
+      region.AddDownstream({.name = "site",
+                            .dialer = [&net] { return net.Dial("site"); },
+                            .supports_pushdown = true,
+                            .auth_payload = ""})
           .ok());
 
   std::vector<std::string> delivered_a, delivered_b;
@@ -228,10 +234,14 @@ TEST(FederationTest, MergesChildrenTimeOrdered) {
 
   RepublisherGateway site("site", clock);
   ASSERT_TRUE(
-      site.AddDownstream({"leaf-a", [&net] { return net.Dial("leaf-a"); }})
+      site.AddDownstream({.name = "leaf-a",
+                          .dialer = [&net] { return net.Dial("leaf-a"); },
+                          .auth_payload = ""})
           .ok());
   ASSERT_TRUE(
-      site.AddDownstream({"leaf-b", [&net] { return net.Dial("leaf-b"); }})
+      site.AddDownstream({.name = "leaf-b",
+                          .dialer = [&net] { return net.Dial("leaf-b"); },
+                          .auth_payload = ""})
           .ok());
 
   std::vector<TimePoint> order;
@@ -269,7 +279,9 @@ TEST(FederationTest, DropsDuplicatesAndStaleWithExactAccounting) {
 
   RepublisherGateway site("site", clock);
   ASSERT_TRUE(
-      site.AddDownstream({"leaf", [&net] { return net.Dial("leaf"); }}).ok());
+      site.AddDownstream({.name = "leaf",
+                          .dialer = [&net] { return net.Dial("leaf"); },
+                          .auth_payload = ""}).ok());
 
   std::size_t delivered = 0;
   auto sub = site.SubscribeEncoded(
@@ -315,11 +327,12 @@ TEST(FederationTest, LocalEvalFallbackMatchesPushdownOutput) {
                    gateway::EventGateway& leaf,
                    gateway::GatewayService& service,
                    RepublisherGateway& site) {
-    ASSERT_TRUE(site.AddDownstream({prefix + "-leaf",
-                                    [&net, prefix] {
+    ASSERT_TRUE(site.AddDownstream({.name = prefix + "-leaf",
+                                    .dialer = [&net, prefix] {
                                       return net.Dial(prefix + "-leaf");
                                     },
-                                    supports_pushdown})
+                                    .supports_pushdown = supports_pushdown,
+                                    .auth_payload = ""})
                     .ok());
     (void)leaf;
     (void)service;
@@ -409,10 +422,14 @@ TEST(FederationTest, SummaryPushdownMergesChildrenWeighted) {
   };
   RepublisherGateway site("site", clock, options);
   ASSERT_TRUE(
-      site.AddDownstream({"leaf-a", [&net] { return net.Dial("leaf-a"); }})
+      site.AddDownstream({.name = "leaf-a",
+                          .dialer = [&net] { return net.Dial("leaf-a"); },
+                          .auth_payload = ""})
           .ok());
   ASSERT_TRUE(
-      site.AddDownstream({"leaf-b", [&net] { return net.Dial("leaf-b"); }})
+      site.AddDownstream({.name = "leaf-b",
+                          .dialer = [&net] { return net.Dial("leaf-b"); },
+                          .auth_payload = ""})
           .ok());
 
   auto merged = site.GetSummary("CPU");
@@ -440,7 +457,9 @@ TEST(FederationTest, SummaryFallsBackToLocalWindowOnChildFailure) {
   RepublisherGateway site("site", clock, options);
   site.EnableSummary("CPU");
   ASSERT_TRUE(
-      site.AddDownstream({"leaf", [&net] { return net.Dial("leaf"); }}).ok());
+      site.AddDownstream({.name = "leaf",
+                          .dialer = [&net] { return net.Dial("leaf"); },
+                          .auth_payload = ""}).ok());
 
   // Local windows fill from the merged base stream.
   site.Pump();
@@ -473,7 +492,9 @@ TEST(FederationTest, LastUnsubscribeTearsDownGroupAndLeafStream) {
   lazy.lazy_base_stream = true;
   RepublisherGateway site("site", clock, lazy);
   ASSERT_TRUE(
-      site.AddDownstream({"leaf", [&net] { return net.Dial("leaf"); }}).ok());
+      site.AddDownstream({.name = "leaf",
+                          .dialer = [&net] { return net.Dial("leaf"); },
+                          .auth_payload = ""}).ok());
 
   auto sub_a = site.SubscribeEncoded("a", CpuGlobSpec(),
                                      [](const ulm::EncodedRecord&) {});
@@ -582,7 +603,9 @@ TEST(FederationTest, OverviewMonitorEvaluatesMultiHostRuleAtRoot) {
   lazy.lazy_base_stream = true;
   RepublisherGateway root("root", clock, lazy);
   ASSERT_TRUE(
-      root.AddDownstream({"leaf", [&net] { return net.Dial("leaf"); }}).ok());
+      root.AddDownstream({.name = "leaf",
+                          .dialer = [&net] { return net.Dial("leaf"); },
+                          .auth_payload = ""}).ok());
   auto root_listener = net.Listen("root");
   ASSERT_TRUE(root_listener.ok());
   gateway::GatewayService root_service(root, std::move(*root_listener));
