@@ -18,7 +18,9 @@
 //     per-batch publication, so it must not be slower);
 //   * the E9 cost asymmetry at 10k entries: a subtree search on its own
 //     vs the same search after a structural write (the write clones a
-//     bucket, commits the WAL and swaps the snapshot).
+//     bucket, reindexes it, commits the WAL and swaps the snapshot), and
+//     a discovery by object class and host, which the per-bucket equality
+//     index answers without visiting the other hosts' entries.
 //
 // Emits BENCH_directory.json (path = argv[1], default ./BENCH_directory
 // .json) and enforces the hard floors itself (non-zero exit).
@@ -149,7 +151,7 @@ double LookupPass(Fleet& fleet, bool saturate, int pass) {
       (void)fleet.server->RenewLeases(slice, kFarFuture + 2);
       auto host = schema::MakeHostEntry(Suffix(),
                                         "churn" + std::to_string(churn++ % 16));
-      (void)fleet.server->Upsert(host);  // snapshot swap + cache clear
+      (void)fleet.server->Upsert(host);  // bucket reindex + snapshot swap
     }
     const auto t0 = std::chrono::steady_clock::now();
     for (int i = 0; i < kChunk; ++i) {
@@ -211,12 +213,14 @@ Recovery CrashAndRecover(Fleet& fleet) {
 }
 
 /// E9 at 10k entries: repeated subtree searches, the same searches each
-/// preceded by a structural write, and the structural writes alone. Reads
-/// keep no result cache, so a write adds only its own cost to a search.
+/// preceded by a structural write, the structural writes alone, and
+/// discoveries of one host's sensors. Reads keep no result cache, so a
+/// write adds only its own cost to a search.
 struct SearchStory {
   double search_per_s = 0;
   double search_after_write_per_s = 0;
   double write_per_s = 0;
+  double discover_per_s = 0;
 };
 
 SearchStory SearchAndWriteCost() {
@@ -229,6 +233,7 @@ SearchStory SearchAndWriteCost() {
       Entry entry(schema::HostDn(Suffix(), host)
                       .Child("cn", "s" + std::to_string(s)));
       entry.Set(schema::kAttrObjectClass, "jammSensor");
+      entry.Set(schema::kAttrHost, host);
       batch.push_back(std::move(entry));
     }
     (void)server->UpsertBatch(batch);
@@ -270,6 +275,21 @@ SearchStory SearchAndWriteCost() {
   const auto t0 = std::chrono::steady_clock::now();
   for (int i = 0; i < kWrites; ++i) write();
   out.write_per_s = kWrites / SecondsSince(t0);
+
+  // Discovery: one host's sensors by class and host, rotating hosts.
+  std::vector<Filter> discoveries;
+  for (int h = 0; h < 100; ++h) {
+    discoveries.push_back(*Filter::Parse(
+        "(&(objectclass=jammSensor)(host=host" + std::to_string(h) + "))"));
+  }
+  constexpr int kDiscoveries = 20'000;
+  const auto d0 = std::chrono::steady_clock::now();
+  for (int i = 0; i < kDiscoveries; ++i) {
+    auto found = server->Search(Suffix(), SearchScope::kSubtree,
+                                discoveries[i % discoveries.size()]);
+    if (!found.ok() || found->entries.size() != 100) std::exit(1);
+  }
+  out.discover_per_s = kDiscoveries / SecondsSince(d0);
   return out;
 }
 
@@ -302,9 +322,10 @@ int main(int argc, char** argv) {
 
   const SearchStory story = SearchAndWriteCost();
   std::printf("E9 at 10k entries: subtree search %.0f/s, search after a "
-              "structural write %.0f/s, structural write alone %.0f/s\n",
+              "structural write %.0f/s, structural write alone %.0f/s, "
+              "discovery of one host's sensors %.0f/s\n",
               story.search_per_s, story.search_after_write_per_s,
-              story.write_per_s);
+              story.write_per_s, story.discover_per_s);
 
   std::FILE* json = std::fopen(json_path.c_str(), "w");
   if (!json) {
@@ -318,8 +339,9 @@ int main(int argc, char** argv) {
                "100k-entry heartbeat renewal slices; lookups idle vs "
                "interleaved with renewal batches and structural churn; "
                "Crash()+Restart() full-WAL replay; subtree search, search "
-               "after a structural write, and structural writes alone at "
-               "10k\",\n");
+               "after a structural write, structural writes alone, and "
+               "(&(objectclass=jammSensor)(host=hostN)) discovery over "
+               "rotating hosts at 10k\",\n");
   std::fprintf(json,
                "  \"method\": \"median of %d renewal / %d paired idle+saturated read passes "
                "(ratio = median of per-pass ratios); "
@@ -346,8 +368,10 @@ int main(int argc, char** argv) {
   std::fprintf(json, "    \"search_per_s\": %.0f,\n", story.search_per_s);
   std::fprintf(json, "    \"search_after_write_per_s\": %.0f,\n",
                story.search_after_write_per_s);
-  std::fprintf(json, "    \"structural_write_per_s\": %.0f\n",
+  std::fprintf(json, "    \"structural_write_per_s\": %.0f,\n",
                story.write_per_s);
+  std::fprintf(json, "    \"discover_per_s\": %.0f\n",
+               story.discover_per_s);
   std::fprintf(json, "  }\n");
   std::fprintf(json, "}\n");
   std::fclose(json);

@@ -278,12 +278,8 @@ double EventArchive::HashUnit(const ulm::RecordView& view) const {
   // sampling seed: stable across processes and Save/Load round trips (the
   // flat encoding is byte-identical to the legacy one, so compaction
   // decisions survived the flat-core migration unchanged).
-  const std::string bytes = ulm::EncodeBinary(view);
-  std::uint64_t h = 1469598103934665603ull ^ sampling_seed_;
-  for (unsigned char b : bytes) {
-    h ^= b;
-    h *= 1099511628211ull;
-  }
+  const std::uint64_t h = Fnv1a(ulm::EncodeBinary(view),
+                                kFnv1aBasis ^ sampling_seed_);
   return static_cast<double>(h >> 11) * 0x1.0p-53;
 }
 

@@ -143,4 +143,12 @@ bool GlobMatch(std::string_view pattern, std::string_view text) {
   return p == pattern.size();
 }
 
+std::uint64_t Fnv1a(std::string_view data, std::uint64_t h) {
+  for (unsigned char c : data) {
+    h ^= c;
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
 }  // namespace jamm

@@ -42,4 +42,12 @@ Result<double> ParseDouble(std::string_view text);
 /// filters and archive queries.
 bool GlobMatch(std::string_view pattern, std::string_view text);
 
+/// Starting state of Fnv1a. Not the published FNV offset basis, but the
+/// one every persisted digest and signature here was computed with; keep it.
+inline constexpr std::uint64_t kFnv1aBasis = 1469598103934665603ull;
+
+/// 64-bit FNV-1a of `data`, continuing from `h` (so hashes chain over
+/// several pieces).
+std::uint64_t Fnv1a(std::string_view data, std::uint64_t h = kFnv1aBasis);
+
 }  // namespace jamm

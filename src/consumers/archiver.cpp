@@ -109,17 +109,24 @@ std::size_t ArchiverAgent::PumpRemote() {
 
 Status ArchiverAgent::PublishTo(directory::DirectoryPool& pool,
                                 const directory::Dn& suffix) {
-  // The archives live under "ou=archives, <suffix>"; make sure that
-  // container exists before publishing into it.
-  directory::Entry container(suffix.Child("ou", "archives"));
-  container.Set(directory::schema::kAttrObjectClass, "organizationalUnit");
-  (void)pool.Upsert(container);
   published_pool_ = &pool;
   published_suffix_ = suffix;
+  UpsertContainer();
+  return UpsertEntry();
+}
+
+void ArchiverAgent::UpsertContainer() {
+  // The archives live under "ou=archives, <suffix>"; the entry needs it.
+  directory::Entry container(published_suffix_.Child("ou", "archives"));
+  container.Set(directory::schema::kAttrObjectClass, "organizationalUnit");
+  (void)published_pool_->Upsert(container);
+}
+
+Status ArchiverAgent::UpsertEntry() {
   published_seals_ = archive_.seal_count();
   const auto [span_min, span_max] = archive_.TimeSpan();
-  return pool.Upsert(directory::schema::MakeArchiveEntry(
-      suffix, name_, address_, archive_.ContentsSummary(),
+  return published_pool_->Upsert(directory::schema::MakeArchiveEntry(
+      published_suffix_, name_, address_, archive_.ContentsSummary(),
       archive_.segment_count(), span_min, span_max));
 }
 
@@ -128,7 +135,14 @@ bool ArchiverAgent::MaybeRefreshEntry() {
   const std::uint64_t seals = archive_.seal_count();
   if (seals == published_seals_) return false;
   Instruments().entry_refreshes.Increment();
-  return PublishTo(*published_pool_, published_suffix_).ok();
+  // One structural write per seal: the container already exists unless
+  // someone deleted it, in which case the upsert fails NotFound.
+  Status status = UpsertEntry();
+  if (status.code() == StatusCode::kNotFound) {
+    UpsertContainer();
+    status = UpsertEntry();
+  }
+  return status.ok();
 }
 
 void ArchiverAgent::UnsubscribeAll() {

@@ -73,6 +73,10 @@ class ArchiverAgent {
 
  private:
   void IngestRecord(const ulm::Record& record);
+  /// Upsert the "ou=archives" container / the archive's own entry into
+  /// the remembered pool and suffix.
+  void UpsertContainer();
+  Status UpsertEntry();
 
   std::string name_;
   archive::EventArchive& archive_;

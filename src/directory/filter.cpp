@@ -1,6 +1,9 @@
 #include "directory/filter.hpp"
 
+#include <optional>
+
 #include "common/strings.hpp"
+#include "directory/schema.hpp"
 
 namespace jamm::directory {
 
@@ -167,6 +170,55 @@ bool NodeMatches(const Node& node, const Entry& entry) {
   return false;
 }
 
+// A `&` of `|`s multiplies out. Past this many terms a `&` leaves out the
+// conjunct that would cross the limit, and a `|` scans.
+constexpr std::size_t kMaxTerms = 16;
+
+// The terms covering `node`'s matches, or nullopt when no index applies.
+std::optional<Filter::IndexTerms> NodeTerms(const Node& node) {
+  switch (node.kind) {
+    case Node::Kind::kEquality:
+      if (!schema::IsIndexed(node.attr)) return std::nullopt;
+      return Filter::IndexTerms{{Filter::IndexKey(node.attr, node.value)}};
+    case Node::Kind::kOr: {
+      Filter::IndexTerms out;
+      for (const auto& c : node.children) {
+        auto terms = NodeTerms(*c);
+        if (!terms || out.size() + terms->size() > kMaxTerms) {
+          return std::nullopt;
+        }
+        out.insert(out.end(), terms->begin(), terms->end());
+      }
+      return out;
+    }
+    case Node::Kind::kAnd: {
+      // Every match satisfies every child, so any indexable child covers
+      // the matches; each one joined in only narrows the candidates.
+      std::optional<Filter::IndexTerms> out;
+      for (const auto& c : node.children) {
+        auto terms = NodeTerms(*c);
+        if (!terms) continue;
+        if (!out) {
+          out = std::move(terms);
+          continue;
+        }
+        if (out->size() * terms->size() > kMaxTerms) continue;
+        Filter::IndexTerms product;
+        for (const auto& a : *out) {
+          for (const auto& b : *terms) {
+            auto& term = product.emplace_back(a);
+            term.insert(term.end(), b.begin(), b.end());
+          }
+        }
+        out = std::move(product);
+      }
+      return out;
+    }
+    default:
+      return std::nullopt;
+  }
+}
+
 std::string NodeToString(const Node& node) {
   switch (node.kind) {
     case Node::Kind::kAnd:
@@ -202,6 +254,9 @@ Result<Filter> Filter::Parse(std::string_view text) {
   }
   Filter f;
   f.root_ = *root;
+  if (auto terms = NodeTerms(*f.root_)) {
+    f.terms_ = std::make_shared<const IndexTerms>(std::move(*terms));
+  }
   return f;
 }
 
@@ -216,6 +271,15 @@ Filter Filter::MatchAll() {
 
 bool Filter::Matches(const Entry& entry) const {
   return root_ && NodeMatches(*root_, entry);
+}
+
+const Filter::IndexTerms& Filter::CandidateTerms() const {
+  static const IndexTerms kScan;
+  return terms_ ? *terms_ : kScan;
+}
+
+std::uint64_t Filter::IndexKey(std::string_view attr, std::string_view value) {
+  return Fnv1a(value, Fnv1a(std::string_view("\0", 1), Fnv1a(attr)));
 }
 
 std::string Filter::ToString() const {

@@ -9,6 +9,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -35,6 +36,22 @@ class Filter {
 
   bool Matches(const Entry& entry) const;
 
+  /// Candidate rule for the directory's equality index (server.hpp): the
+  /// filter as an OR of terms, each term a set of index keys that every
+  /// entry the term matches carries. Equality on an indexed attribute
+  /// (schema::kIndexedAttrs) is one key; `&` joins its indexable
+  /// children's keys; `|` lists its children's terms. A search draws
+  /// candidates from one key per term and still checks each with
+  /// Matches, so the rule only has to cover the matches. Empty means no
+  /// index applies (a `!`, presence, substring or ordering leaf, or a `|`
+  /// with such a child): scan. Worked out once, when the filter is built.
+  using IndexTerms = std::vector<std::vector<std::uint64_t>>;
+  const IndexTerms& CandidateTerms() const;
+
+  /// Index key of one attribute value: a 64-bit hash of "attr\0value".
+  /// Collisions only widen a candidate set.
+  static std::uint64_t IndexKey(std::string_view attr, std::string_view value);
+
   /// Canonical string form (round-trips through Parse).
   std::string ToString() const;
 
@@ -44,6 +61,7 @@ class Filter {
 
  private:
   std::shared_ptr<const Node> root_;
+  std::shared_ptr<const IndexTerms> terms_;  // null: scan
 };
 
 }  // namespace jamm::directory

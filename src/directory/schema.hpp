@@ -5,9 +5,12 @@
 // number of consumers, and last message" — those are the attributes here.
 #pragma once
 
+#include <algorithm>
+#include <array>
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/clock.hpp"
@@ -55,6 +58,18 @@ inline constexpr char kAttrTier[] = "tier";
 /// Comma-separated names of the level's direct children — child federation
 /// levels for mid-tiers, leaf gateway names at the bottom.
 inline constexpr char kAttrChildren[] = "children";
+
+/// Attributes the directory keeps an equality index on (server.hpp): the
+/// keys of every discovery filter. Not leaseexpires — its stored value
+/// goes stale, because renewals only move the lease cell.
+inline constexpr std::array<std::string_view, 2> kIndexedAttrs = {
+    kAttrObjectClass, kAttrHost};
+
+/// Whether `attr` (lower-case, the canonical form) is in kIndexedAttrs.
+inline bool IsIndexed(std::string_view attr) {
+  return std::find(kIndexedAttrs.begin(), kIndexedAttrs.end(), attr) !=
+         kIndexedAttrs.end();
+}
 
 /// "host=<host>, <suffix>"
 Dn HostDn(const Dn& suffix, const std::string& host);

@@ -60,8 +60,23 @@ const DirectoryServer::Node* DirectoryServer::FindNode(
     const Snapshot& snap, const std::string& key) {
   const auto& bucket = snap.buckets[BucketOf(key)];
   if (!bucket) return nullptr;
-  auto it = bucket->find(key);
-  return it == bucket->end() ? nullptr : &it->second;
+  auto it = bucket->nodes.find(key);
+  return it == bucket->nodes.end() ? nullptr : &it->second;
+}
+
+void DirectoryServer::Bucket::Reindex() {
+  index.clear();
+  index.reserve(nodes.size() * schema::kIndexedAttrs.size());
+  for (const auto& hit : nodes) {
+    for (const auto& [attr, values] : hit.second.entry->attrs()) {
+      if (!schema::IsIndexed(attr)) continue;
+      for (const std::string& value : values) {
+        index.emplace_back(Filter::IndexKey(attr, value), &hit);
+      }
+    }
+  }
+  std::sort(index.begin(), index.end(),
+            [](const Posting& a, const Posting& b) { return a.first < b.first; });
 }
 
 Entry DirectoryServer::Materialize(const Node& node) {
@@ -87,15 +102,17 @@ DirectoryServer::Txn DirectoryServer::BeginTxn() {
   return txn;
 }
 
-DirectoryServer::Bucket& DirectoryServer::MutableBucket(Txn& txn,
-                                                        std::size_t index) {
-  if (!txn.cloned[index]) {
+DirectoryServer::Bucket::Nodes& DirectoryServer::MutableBucket(
+    Txn& txn, std::size_t index) {
+  if (txn.cloned[index] == nullptr) {
+    // The clone is private to this txn until publication, which indexes it.
+    auto clone = std::make_shared<Bucket>();
     auto& slot = txn.snap->buckets[index];
-    slot = slot ? std::make_shared<Bucket>(*slot) : std::make_shared<Bucket>();
-    txn.cloned[index] = true;
+    if (slot) clone->nodes = slot->nodes;
+    txn.cloned[index] = clone.get();
+    slot = std::move(clone);
   }
-  // The clone is private to this txn until publication.
-  return const_cast<Bucket&>(*txn.snap->buckets[index]);
+  return txn.cloned[index]->nodes;
 }
 
 void DirectoryServer::CommitLocked(Txn* txn, std::vector<Change> changes) {
@@ -107,13 +124,19 @@ void DirectoryServer::CommitLocked(Txn* txn, std::vector<Change> changes) {
   }
   if (!changes.empty()) wal_->Commit();  // group commit: one fsync per batch
   last_seq_.store(next_seq_ - 1, std::memory_order_release);
-  if (txn != nullptr && txn->dirty) {
-    {
-      std::lock_guard<std::mutex> latch(snap_mu_);
-      snap_ = txn->snap;
-    }
-    counters_.snapshot_swaps.fetch_add(1, std::memory_order_relaxed);
+  if (txn != nullptr && txn->dirty) PublishLocked(*txn);
+}
+
+void DirectoryServer::PublishLocked(Txn& txn) {
+  // Buckets this txn did not clone keep the index of their generation.
+  for (Bucket* bucket : txn.cloned) {
+    if (bucket != nullptr) bucket->Reindex();
   }
+  {
+    std::lock_guard<std::mutex> latch(snap_mu_);
+    snap_ = txn.snap;
+  }
+  counters_.snapshot_swaps.fetch_add(1, std::memory_order_relaxed);
 }
 
 // --------------------------------------------------- txn-level writes
@@ -174,7 +197,7 @@ Status DirectoryServer::DeleteTxn(Txn& txn, const Dn& dn) {
   for (std::size_t b = 0; b < kBuckets; ++b) {
     const auto& bucket = txn.snap->buckets[b];
     if (!bucket) continue;
-    for (const auto& [other_key, node] : *bucket) {
+    for (const auto& [other_key, node] : bucket->nodes) {
       if (other_key != key && node.entry->dn().IsChildOf(dn)) {
         return Status::InvalidArgument("entry has children: " + key);
       }
@@ -445,7 +468,7 @@ Result<std::size_t> DirectoryServer::ExpireLeases(TimePoint now) {
   std::set<std::string> doomed;
   for (const auto& bucket : txn.snap->buckets) {
     if (!bucket) continue;
-    for (const auto& [key, node] : *bucket) {
+    for (const auto& [key, node] : bucket->nodes) {
       if (!LiveAt(node, now)) doomed.insert(key);
     }
   }
@@ -458,7 +481,7 @@ Result<std::size_t> DirectoryServer::ExpireLeases(TimePoint now) {
     changed = false;
     for (const auto& bucket : txn.snap->buckets) {
       if (!bucket) continue;
-      for (const auto& [key, node] : *bucket) {
+      for (const auto& [key, node] : bucket->nodes) {
         if (doomed.count(key)) continue;
         for (Dn p = node.entry->dn().Parent(); !p.IsRoot(); p = p.Parent()) {
           if (doomed.erase(p.ToString()) > 0) changed = true;
@@ -536,26 +559,65 @@ Result<SearchResult> DirectoryServer::Search(
                                    address_);
   }
   counters_.reads.fetch_add(1, std::memory_order_relaxed);
-  // One pass over one snapshot: `snap` keeps every matched node alive until
-  // it is materialized, so the result is exactly this generation's view.
+  // One snapshot: `snap` keeps every matched node alive until it is
+  // materialized, so the result is exactly this generation's view.
   auto snap = LoadSnapshot();
-  std::vector<const Bucket::value_type*> hits;
-  for (const auto& bucket : snap->buckets) {
-    if (!bucket) continue;
-    for (const auto& hit : *bucket) {
-      const Entry& entry = *hit.second.entry;
-      const Dn& dn = entry.dn();
-      const bool in_scope = scope == SearchScope::kBase
-                                ? dn == base
-                                : scope == SearchScope::kOneLevel
-                                      ? dn.IsChildOf(base)
-                                      : dn.IsUnder(base);
-      if (in_scope && filter.Matches(entry)) hits.push_back(&hit);
+  std::vector<const Bucket::Nodes::value_type*> hits;
+  const auto consider = [&](const Bucket::Nodes::value_type& hit) {
+    const Entry& entry = *hit.second.entry;
+    const Dn& dn = entry.dn();
+    const bool in_scope = scope == SearchScope::kBase
+                              ? dn == base
+                              : scope == SearchScope::kOneLevel
+                                    ? dn.IsChildOf(base)
+                                    : dn.IsUnder(base);
+    if (in_scope && filter.Matches(entry)) hits.push_back(&hit);
+  };
+  if (scope == SearchScope::kBase) {
+    const std::string key = base.ToString();
+    if (const auto& bucket = snap->buckets[BucketOf(key)]) {
+      auto it = bucket->nodes.find(key);
+      if (it != bucket->nodes.end()) consider(*it);
+    }
+  } else {
+    // Candidates come from each term's rarest posting in the bucket's
+    // index, or from every entry when the filter has no indexable term.
+    // Every candidate is checked in full, so the index never decides.
+    const Filter::IndexTerms& terms = filter.CandidateTerms();
+    struct ByKey {
+      bool operator()(const Bucket::Posting& p, std::uint64_t key) const {
+        return p.first < key;
+      }
+      bool operator()(std::uint64_t key, const Bucket::Posting& p) const {
+        return key < p.first;
+      }
+    };
+    for (const auto& bucket : snap->buckets) {
+      if (!bucket) continue;
+      if (terms.empty()) {
+        for (const auto& hit : bucket->nodes) consider(hit);
+        continue;
+      }
+      const auto posting = [&index = bucket->index](std::uint64_t key) {
+        return std::equal_range(index.begin(), index.end(), key, ByKey{});
+      };
+      for (const auto& term : terms) {
+        auto best = posting(term[0]);
+        for (std::size_t k = 1; k < term.size(); ++k) {
+          auto range = posting(term[k]);
+          if (range.second - range.first < best.second - best.first) {
+            best = range;
+          }
+        }
+        for (auto p = best.first; p != best.second; ++p) consider(*p->second);
+      }
     }
   }
-  // Buckets iterate hashed; callers expect DN order.
+  // Buckets iterate hashed; callers expect DN order. An entry drawn by two
+  // terms is a duplicate.
   std::sort(hits.begin(), hits.end(),
             [](const auto* a, const auto* b) { return a->first < b->first; });
+  hits.erase(std::unique(hits.begin(), hits.end()), hits.end());
 
   SearchResult out;
   const TimePoint now = live_only ? clock->Now() : 0;
@@ -629,7 +691,7 @@ Result<std::vector<Entry>> DirectoryServer::CutoverSubtree(
   std::vector<const Node*> nodes;
   for (const auto& bucket : txn.snap->buckets) {
     if (!bucket) continue;
-    for (const auto& [key, node] : *bucket) {
+    for (const auto& [key, node] : bucket->nodes) {
       if (node.entry->dn().IsUnder(subtree)) nodes.push_back(&node);
     }
   }
@@ -745,7 +807,6 @@ DirectoryServer::RecoveryStats DirectoryServer::Restart() {
   RecoveryStats stats;
   Txn txn;
   txn.snap = std::make_shared<Snapshot>();
-  txn.cloned.fill(false);
   std::uint64_t max_seq = 0;
   auto replay = wal_->Replay([&](const Change& change) {
     // Replay is lenient the same way replication is; a log the server
@@ -759,11 +820,7 @@ DirectoryServer::RecoveryStats DirectoryServer::Restart() {
   stats.last_seq = max_seq;
   next_seq_ = max_seq + 1;
   last_seq_.store(max_seq, std::memory_order_release);
-  {
-    std::lock_guard<std::mutex> latch(snap_mu_);
-    snap_ = txn.snap;
-  }
-  counters_.snapshot_swaps.fetch_add(1, std::memory_order_relaxed);
+  PublishLocked(txn);
   alive_.store(true, std::memory_order_release);
   return stats;
 }

@@ -13,6 +13,16 @@
 //    one. Structural writes (add/modify/delete/referral) clone only the
 //    buckets they touch and swap the snapshot pointer.
 //
+//  * Equality index per bucket — each published bucket carries a sorted
+//    (hash of attr\0value, entry) index over schema::kIndexedAttrs
+//    (objectclass, host), built when the txn that cloned the bucket
+//    publishes it and immutable after. Search asks the filter once for
+//    its candidate rule (Filter::CandidateTerms) and, bucket by bucket,
+//    checks only the entries of each term's rarest posting — or every
+//    entry when no index applies. Every candidate is still checked in
+//    full (scope + Filter::Matches), so a hash collision or a coarse rule
+//    widens the work, never the result. A kBase search is one lookup.
+//
 //  * Lease renewals are not structural. Each leased entry owns a
 //    LeaseCell (an atomic expiry shared by every snapshot generation), so
 //    a heartbeat batch is a hash lookup plus an atomic store per entry —
@@ -28,10 +38,12 @@
 //
 // The paper's observation that LDAP servers "are optimized for read
 // access, and do not work well in an environment with many updates"
-// survives as a cost asymmetry: a search is one pass over a published
-// snapshot, while a structural write clones buckets, commits the WAL and
-// swaps the snapshot (bench_directory, E9). Reads do not slow down under
-// writes; there is no result cache for a write to invalidate.
+// survives as a cost asymmetry: a discovery by object class and host
+// touches only the entries that can match, while a structural write
+// clones buckets, reindexes them, commits the WAL and swaps the snapshot
+// (bench_directory, E9). Reads do not slow down under writes; the index
+// is part of the generation it indexes, so there is nothing for a write
+// to invalidate.
 #pragma once
 
 #include <array>
@@ -162,7 +174,8 @@ class DirectoryServer {
   // -------------------------------------------------------------- reads
   //
   // Reads never take the write lock: they walk the published snapshot.
-  // Search scans one snapshot once and returns its matches in DN order.
+  // Search reads one snapshot, through its equality index where the
+  // filter allows, and returns its matches in DN order.
 
   /// `live_only` (ISSUE 4) filters out entries whose lease has expired but
   /// that the reaper has not yet swept — consumers never dial the dead.
@@ -286,7 +299,19 @@ class DirectoryServer {
     std::shared_ptr<LeaseCell> lease;  // null == immortal
   };
 
-  using Bucket = std::map<std::string, Node>;  // key: normalized DN string
+  /// One shard of a snapshot generation. Immutable once published, index
+  /// included: `index` points into `nodes` and is rebuilt whenever a txn
+  /// publishes a clone, never patched.
+  struct Bucket {
+    using Nodes = std::map<std::string, Node>;  // key: normalized DN string
+    using Posting = std::pair<std::uint64_t, const Nodes::value_type*>;
+    Nodes nodes;
+    /// Equality index over schema::kIndexedAttrs: (Filter::IndexKey of
+    /// one attribute value, entry), sorted by key.
+    std::vector<Posting> index;
+
+    void Reindex();
+  };
 
   struct Snapshot {
     std::array<std::shared_ptr<const Bucket>, kBuckets> buckets;
@@ -298,7 +323,7 @@ class DirectoryServer {
   /// current snapshot's bucket-pointer array and clones buckets lazily.
   struct Txn {
     std::shared_ptr<Snapshot> snap;
-    std::array<bool, kBuckets> cloned{};
+    std::array<Bucket*, kBuckets> cloned{};  // this txn's private clones
     bool dirty = false;
   };
 
@@ -310,10 +335,12 @@ class DirectoryServer {
   static bool LiveAt(const Node& node, TimePoint now);
 
   Txn BeginTxn();
-  Bucket& MutableBucket(Txn& txn, std::size_t index);
+  Bucket::Nodes& MutableBucket(Txn& txn, std::size_t index);
   /// Append `changes` to the WAL, group-commit and publish the txn
   /// snapshot (if dirty). The single ack barrier.
   void CommitLocked(Txn* txn, std::vector<Change> changes);
+  /// Index the buckets `txn` cloned and swap its snapshot in.
+  void PublishLocked(Txn& txn);
 
   Status AddTxn(Txn& txn, const Entry& entry);
   Status ModifyTxn(Txn& txn, const Entry& entry);

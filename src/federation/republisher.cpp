@@ -5,21 +5,13 @@
 #include <utility>
 
 #include "common/id.hpp"
+#include "common/strings.hpp"
 #include "telemetry/metrics.hpp"
 #include "ulm/encoded.hpp"
 
 namespace jamm::federation {
 
 namespace {
-
-std::uint64_t Fnv1a(std::string_view text) {
-  std::uint64_t h = 1469598103934665603ull;
-  for (unsigned char c : text) {
-    h ^= c;
-    h *= 1099511628211ull;
-  }
-  return h;
-}
 
 std::string SourceKey(const ulm::Record& rec) {
   std::string key;

@@ -226,7 +226,7 @@ void GatewayService::HandleMessage(Connection& conn,
       sub = gateway_.SubscribeEncoded(
           consumer, *spec,
           [queue](const ulm::EncodedRecord& enc) {
-            SendOrQueue(*queue, {"gw.event.xml", enc.Xml()}, 1);
+            SendOrQueue(*queue, {transport::kEventXmlMessageType, enc.Xml()}, 1);
           },
           conn.principal);
     } else if (ParseBatchFormat(format, &batch_records)) {
@@ -488,6 +488,7 @@ struct ClientTelemetry {
   telemetry::Counter& batches_received;
   telemetry::Counter& batch_records_received;
   telemetry::Counter& batch_decode_errors;
+  telemetry::Counter& xml_decode_errors;
 };
 
 ClientTelemetry& ClientInstruments() {
@@ -499,8 +500,43 @@ ClientTelemetry& ClientInstruments() {
                            m.counter("gateway.client.pending_dropped"),
                            m.counter("gateway.client.batches_received"),
                            m.counter("gateway.client.batch_records_received"),
-                           m.counter("gateway.client.batch_decode_errors")};
+                           m.counter("gateway.client.batch_decode_errors"),
+                           m.counter("gateway.client.xml_decode_errors")};
   return t;
+}
+
+/// Hand every record an event frame carries (ASCII, XML or batch) to
+/// `sink`; false when `msg` is not event traffic. An undecodable XML frame
+/// or batch is dropped whole and counted; the next frame decodes alone.
+template <typename Sink>
+bool ForEachEvent(const transport::Message& msg, Sink&& sink) {
+  auto& t = ClientInstruments();
+  if (msg.type == transport::kEventMessageType) {
+    auto rec = ulm::Record::FromAscii(msg.payload);
+    if (rec.ok()) sink(std::move(*rec));
+    return true;
+  }
+  if (msg.type == transport::kEventXmlMessageType) {
+    auto rec = ulm::FromXml(msg.payload);
+    if (rec.ok()) {
+      sink(std::move(*rec));
+    } else {
+      t.xml_decode_errors.Increment();
+    }
+    return true;
+  }
+  if (msg.type == transport::kEventBatchMessageType) {
+    auto records = transport::DecodeEventBatch(msg);
+    if (!records.ok()) {
+      t.batch_decode_errors.Increment();
+      return true;
+    }
+    t.batches_received.Increment();
+    t.batch_records_received.Add(records->size());
+    for (auto& rec : *records) sink(std::move(rec));
+    return true;
+  }
+  return false;
 }
 
 using SteadyPoint = std::chrono::steady_clock::time_point;
@@ -580,40 +616,14 @@ bool GatewayClient::AdoptControl(const transport::Message& msg) {
   return true;
 }
 
-void GatewayClient::BufferEvent(const transport::Message& msg) {
-  auto rec = ulm::Record::FromAscii(msg.payload);
-  if (!rec.ok()) return;
-  if (!pending_events_.Push(std::move(*rec))) {
-    ClientInstruments().pending_dropped.Increment();
-  }
-}
-
 bool GatewayClient::BufferIfEvent(const transport::Message& msg) {
-  if (msg.type == transport::kEventMessageType) {
-    BufferEvent(msg);
-    return true;
-  }
-  if (msg.type == transport::kEventBatchMessageType) {
-    auto& t = ClientInstruments();
-    auto records = transport::DecodeEventBatch(msg);
-    if (!records.ok()) {
-      // A corrupt batch is dropped whole; the error is counted, not fatal
-      // to the stream (the next batch is independently decodable).
-      t.batch_decode_errors.Increment();
-      return true;
+  // Batches unpack into the RECORD-bounded pending buffer: capacity
+  // semantics are identical for batched and unbatched subscriptions.
+  return ForEachEvent(msg, [this](ulm::Record rec) {
+    if (!pending_events_.Push(std::move(rec))) {
+      ClientInstruments().pending_dropped.Increment();
     }
-    t.batches_received.Increment();
-    t.batch_records_received.Add(records->size());
-    // Unpacked into the RECORD-bounded pending buffer: capacity semantics
-    // are identical for batched and unbatched subscriptions.
-    for (auto& rec : *records) {
-      if (!pending_events_.Push(std::move(rec))) {
-        t.pending_dropped.Increment();
-      }
-    }
-    return true;
-  }
-  return false;
+  });
 }
 
 Status GatewayClient::Reconnect() {
@@ -887,12 +897,12 @@ Result<ulm::Record> GatewayClient::NextEvent(Duration timeout) {
     if (msg->type == transport::kEventMessageType) {
       return ulm::Record::FromAscii(msg->payload);
     }
-    if (msg->type == transport::kEventBatchMessageType) {
-      // Unpack into the pending buffer and pop from the front so batch
-      // records interleave with buffered singles in arrival order.
-      (void)BufferIfEvent(*msg);
+    if (BufferIfEvent(*msg)) {
+      // XML and batch frames go through the pending buffer and pop from
+      // its front, so they interleave with buffered singles in arrival
+      // order.
       if (auto rec = pending_events_.Pop()) return std::move(*rec);
-      continue;  // empty or undecodable batch: keep waiting
+      continue;  // empty or undecodable frame: keep waiting
     }
     if (AdoptControl(*msg)) continue;
     if (msg->type == "gw.error") {
@@ -915,21 +925,8 @@ std::vector<ulm::Record> GatewayClient::DrainEvents() {
   std::vector<ulm::Record> out = pending_events_.DrainAll();
   if (!channel_) return out;
   while (auto msg = channel_->TryReceive()) {
-    if (msg->type == transport::kEventMessageType) {
-      auto rec = ulm::Record::FromAscii(msg->payload);
-      if (rec.ok()) out.push_back(std::move(*rec));
-      continue;
-    }
-    if (msg->type == transport::kEventBatchMessageType) {
-      auto& t = ClientInstruments();
-      auto records = transport::DecodeEventBatch(*msg);
-      if (!records.ok()) {
-        t.batch_decode_errors.Increment();
-        continue;
-      }
-      t.batches_received.Increment();
-      t.batch_records_received.Add(records->size());
-      for (auto& rec : *records) out.push_back(std::move(rec));
+    if (ForEachEvent(*msg,
+                     [&out](ulm::Record rec) { out.push_back(std::move(rec)); })) {
       continue;
     }
     if (AdoptControl(*msg)) continue;

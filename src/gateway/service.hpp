@@ -361,8 +361,7 @@ class GatewayClient {
                                      Duration timeout);
   /// Adopt `msg` if it answers the oldest pipelined control request.
   bool AdoptControl(const transport::Message& msg);
-  void BufferEvent(const transport::Message& msg);
-  /// True for single-event and batch event traffic; records land in
+  /// True for event traffic (ASCII, XML or batch); records land in
   /// pending_events_ (bounded in RECORDS, so one huge batch cannot blow
   /// the memory cap a record cap implies).
   bool BufferIfEvent(const transport::Message& msg);

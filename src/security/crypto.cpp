@@ -4,6 +4,8 @@
 #include <map>
 #include <mutex>
 
+#include "common/strings.hpp"
+
 namespace jamm::security {
 namespace {
 
@@ -11,15 +13,6 @@ std::mutex g_keys_mu;
 std::map<std::string, std::string>& KeyRegistry() {
   static std::map<std::string, std::string> registry;  // public → private
   return registry;
-}
-
-std::uint64_t Fnv1a(std::string_view data) {
-  std::uint64_t h = 1469598103934665603ull;
-  for (unsigned char c : data) {
-    h ^= c;
-    h *= 1099511628211ull;
-  }
-  return h;
 }
 
 std::string Hex(std::uint64_t v) {

@@ -19,6 +19,8 @@ inline constexpr char kBinaryEventMessageType[] = "ulm.event.bin";
 /// self-delimiting binary ULM records — no extra framing needed. One
 /// transport Send carries a whole batch.
 inline constexpr char kEventBatchMessageType[] = "gw.event.batch";
+/// One event as a ulm::ToXml element (a subscription's xml format).
+inline constexpr char kEventXmlMessageType[] = "gw.event.xml";
 
 class NetSink final : public netlogger::LogSink {
  public:

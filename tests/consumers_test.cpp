@@ -224,6 +224,41 @@ TEST_F(CollectorTest, ArchiverIngestsAndPublishes) {
             std::string::npos);
 }
 
+// A seal refresh is one structural write (the archive entry), not two:
+// the container is created on the first publish only, and recreated if
+// it has since been deleted.
+TEST_F(CollectorTest, ArchiverRefreshIsOneDirectoryWritePerSeal) {
+  archive::SegmentConfig config;
+  config.max_records = 2;
+  archive::EventArchive ar("main-archive", 1, config);
+  ArchiverAgent agent("main-archive", ar, "inproc:archive");
+  ASSERT_TRUE(agent.SubscribeTo(gw_a_).ok());
+  ASSERT_TRUE(agent.PublishTo(pool_, suffix_).ok());
+  const Dn entry_dn = directory::schema::ArchiveDn(suffix_, "main-archive");
+  const auto writes = [&] { return primary_->stats().writes; };
+
+  for (int seal = 0; seal < 3; ++seal) {
+    const std::uint64_t before = writes();
+    gw_a_.Publish(Event(2 * seal + 1, "E", 1));
+    gw_a_.Publish(Event(2 * seal + 2, "E", 2));  // fills and seals
+    EXPECT_EQ(ar.seal_count(), static_cast<std::uint64_t>(seal + 1));
+    EXPECT_EQ(writes(), before + 1) << "seal " << seal;
+  }
+  auto entry = pool_.Lookup(entry_dn);
+  ASSERT_TRUE(entry.ok());
+  EXPECT_EQ(entry->Get(directory::schema::kAttrSegments), "3");
+
+  // Container deleted behind the archiver's back: the refresh recreates it.
+  ASSERT_TRUE(pool_.Delete(entry_dn).ok());
+  ASSERT_TRUE(pool_.Delete(suffix_.Child("ou", "archives")).ok());
+  gw_a_.Publish(Event(7, "E", 1));
+  gw_a_.Publish(Event(8, "E", 2));
+  EXPECT_TRUE(pool_.Lookup(suffix_.Child("ou", "archives")).ok());
+  entry = pool_.Lookup(entry_dn);
+  ASSERT_TRUE(entry.ok());
+  EXPECT_EQ(entry->Get(directory::schema::kAttrSegments), "4");
+}
+
 // ---------------------------------------------------------- process monitor
 
 TEST(ProcessMonitorTest, RestartsAndNotifiesOnDeath) {

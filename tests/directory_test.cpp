@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <iterator>
 #include <thread>
 
 #include "common/rng.hpp"
@@ -191,6 +192,36 @@ TEST(FilterTest, PropertyRandomFiltersAgreeWithDirectEval) {
     EXPECT_EQ(MustFilter("(&(a0=0)(a1=1))").Matches(e), m0 && m1);
     EXPECT_EQ(MustFilter("(|(a0=0)(a1=1))").Matches(e), m0 || m1);
     EXPECT_EQ(MustFilter("(!(a0=0))").Matches(e), !m0);
+  }
+}
+
+TEST(FilterTest, CandidateTermsFollowTheIndexRule) {
+  const auto key = [](const char* attr, const char* value) {
+    return Filter::IndexKey(attr, value);
+  };
+  using Terms = Filter::IndexTerms;
+  // Equality on an indexed attribute is its posting; attribute names
+  // fold case, values do not.
+  EXPECT_EQ(MustFilter("(objectClass=jammSensor)").CandidateTerms(),
+            (Terms{{key("objectclass", "jammSensor")}}));
+  EXPECT_NE(MustFilter("(host=H1)").CandidateTerms(),
+            MustFilter("(host=h1)").CandidateTerms());
+  // `&` keeps its indexable children, `|` lists its children's terms.
+  EXPECT_EQ(MustFilter("(|(objectclass=jammArchive)(&(objectclass=jammSensor)"
+                       "(sensortype=cpu)(host=h1)))")
+                .CandidateTerms(),
+            (Terms{{key("objectclass", "jammArchive")},
+                   {key("objectclass", "jammSensor"), key("host", "h1")}}));
+  EXPECT_EQ(MustFilter("(&(|(host=a)(host=b))(objectclass=x))").CandidateTerms(),
+            (Terms{{key("host", "a"), key("objectclass", "x")},
+                   {key("host", "b"), key("objectclass", "x")}}));
+  // Anything else scans: unindexed attributes, presence, substrings,
+  // orderings, negation, and a `|` with any such child.
+  for (const char* text :
+       {"(sensortype=cpu)", "(host=*)", "(host=h*)", "(host>=h)",
+        "(!(host=h1))", "(|(host=h1)(sensortype=cpu))",
+        "(leaseexpires=5)", "(&(!(host=h1))(sensortype=cpu))"}) {
+    EXPECT_TRUE(MustFilter(text).CandidateTerms().empty()) << text;
   }
 }
 
@@ -1460,6 +1491,210 @@ TEST(ShardMigrationTest, RevivedPrimaryRejoinsMidMigration) {
                     .ok());
   }
   EXPECT_TRUE(pool.Lookup(schema::HostDn(suffix, "lbl9")).ok());
+}
+
+// ---------------------------------------------- equality index ≡ scan
+
+// The index only chooses candidates; Search must return exactly what a
+// brute-force Matches over every held entry returns, whatever write path
+// built the snapshot. Values differ only in case on purpose: equality is
+// case-sensitive, attribute names are not.
+constexpr const char* kIdxHosts[] = {"h1", "H1", "h2", "h10"};
+constexpr const char* kIdxClasses[] = {"jammSensor", "JammSensor", "top",
+                                       "jammHost", "jammArchive"};
+constexpr const char* kIdxTypes[] = {"cpu", "CPU", "net"};
+
+template <typename Array>
+std::string Pick(Rng& rng, const Array& values) {
+  return values[rng.Uniform(0, static_cast<std::int64_t>(std::size(values)) -
+                                   1)];
+}
+
+Entry RandomIndexedEntry(Rng& rng, const Dn& dn) {
+  Entry e(dn);
+  // Zero, one or two objectclass/host values (duplicates allowed).
+  for (auto n = rng.Uniform(0, 2); n > 0; --n) {
+    e.Add(rng.Chance(0.5) ? "objectClass" : "objectclass",
+          Pick(rng, kIdxClasses));
+  }
+  for (auto n = rng.Uniform(0, 2); n > 0; --n) {
+    e.Add(rng.Chance(0.5) ? "HOST" : "host", Pick(rng, kIdxHosts));
+  }
+  if (rng.Chance(0.7)) e.Set("sensortype", Pick(rng, kIdxTypes));
+  if (rng.Chance(0.5)) {
+    e.Set("frequencyms", std::to_string(rng.Uniform(0, 2000)));
+  }
+  if (rng.Chance(0.3)) schema::StampLease(e, rng.Uniform(1, 100) * kSecond);
+  return e;
+}
+
+std::string RandomIndexLeaf(Rng& rng) {
+  constexpr const char* kClassAttr[] = {"objectclass", "objectClass"};
+  constexpr const char* kHostAttr[] = {"host", "Host"};
+  switch (rng.Uniform(0, 8)) {
+    case 0:
+    case 1:
+      return "(" + Pick(rng, kClassAttr) + "=" + Pick(rng, kIdxClasses) + ")";
+    case 2:
+    case 3:
+      return "(" + Pick(rng, kHostAttr) + "=" + Pick(rng, kIdxHosts) + ")";
+    case 4:
+      return "(sensortype=" + Pick(rng, kIdxTypes) + ")";
+    case 5: {
+      constexpr const char* kPresent[] = {"host", "objectclass", "sensortype",
+                                          "leaseexpires"};
+      return "(" + Pick(rng, kPresent) + "=*)";
+    }
+    case 6: {
+      constexpr const char* kSubstrings[] = {"(host=h*)", "(host=*1)",
+                                             "(objectclass=*Sensor)"};
+      return Pick(rng, kSubstrings);
+    }
+    case 7:
+      return "(frequencyms>=" + std::to_string(rng.Uniform(0, 2000)) + ")";
+    default:
+      return "(frequencyms<=" + std::to_string(rng.Uniform(0, 2000)) + ")";
+  }
+}
+
+std::string RandomIndexFilter(Rng& rng, int depth) {
+  if (depth == 0 || rng.Chance(0.3)) return RandomIndexLeaf(rng);
+  if (rng.Chance(0.2)) return "(!" + RandomIndexFilter(rng, depth - 1) + ")";
+  std::string out = rng.Chance(0.5) ? "(&" : "(|";
+  for (auto n = rng.Uniform(1, 3); n > 0; --n) {
+    out += RandomIndexFilter(rng, depth - 1);
+  }
+  return out + ")";
+}
+
+class IndexPropertyTest : public ::testing::Test {
+ protected:
+  IndexPropertyTest() : suffix_(MustParse("ou=sensors, o=jamm")) {
+    // Host containers and an archive container, five leaves under each;
+    // kept in DN-key order, the order Search returns.
+    std::vector<Dn> parents;
+    for (const char* host : kIdxHosts) {
+      parents.push_back(schema::HostDn(suffix_, host));
+    }
+    parents.push_back(suffix_.Child("ou", "archives"));
+    for (const Dn& parent : parents) {
+      dns_.push_back(parent);
+      for (int i = 0; i < 5; ++i) {
+        dns_.push_back(parent.Child("cn", "s" + std::to_string(i)));
+      }
+    }
+    std::sort(dns_.begin(), dns_.end(), [](const Dn& a, const Dn& b) {
+      return a.ToString() < b.ToString();
+    });
+  }
+
+  /// Random Add/Modify/Delete/Upsert; failures (missing parent, existing
+  /// entry, children, referred subtree) are part of the mix.
+  void Mutate(DirectoryServer& server, Rng& rng, int ops) {
+    for (int op = 0; op < ops; ++op) {
+      const Dn& dn = dns_[rng.Uniform(0, static_cast<std::int64_t>(dns_.size()) - 1)];
+      switch (rng.Uniform(0, 3)) {
+        case 0: (void)server.Add(RandomIndexedEntry(rng, dn)); break;
+        case 1: (void)server.Modify(RandomIndexedEntry(rng, dn)); break;
+        case 2: (void)server.Upsert(RandomIndexedEntry(rng, dn)); break;
+        default: (void)server.Delete(dn); break;
+      }
+    }
+  }
+
+  /// Random filters over all three scopes against the brute-force oracle:
+  /// every held entry, read through Lookup (which never consults the
+  /// index), in scope and passing Matches.
+  void ExpectSearchEqualsScan(const DirectoryServer& server, Rng& rng,
+                              const std::string& stage) {
+    std::vector<Entry> held;
+    for (const Dn& dn : dns_) {
+      if (auto entry = server.Lookup(dn); entry.ok()) held.push_back(*entry);
+    }
+    for (int trial = 0; trial < 80; ++trial) {
+      const Filter filter = MustFilter(RandomIndexFilter(rng, 3));
+      const auto scope = static_cast<SearchScope>(rng.Uniform(0, 2));
+      const Dn base =
+          rng.Chance(0.3)
+              ? suffix_
+              : dns_[rng.Uniform(0, static_cast<std::int64_t>(dns_.size()) - 1)];
+      std::vector<Entry> want;
+      for (const Entry& entry : held) {
+        const Dn& dn = entry.dn();
+        const bool in_scope = scope == SearchScope::kBase       ? dn == base
+                              : scope == SearchScope::kOneLevel ? dn.IsChildOf(base)
+                                                                : dn.IsUnder(base);
+        if (in_scope && filter.Matches(entry)) want.push_back(entry);
+      }
+      auto got = server.Search(base, scope, filter);
+      ASSERT_TRUE(got.ok()) << stage;
+      if (!want.empty()) ++nonempty_;
+      ASSERT_EQ(got->entries, want)
+          << stage << ": " << filter.ToString() << " scope "
+          << static_cast<int>(scope) << " base " << base.ToString();
+    }
+  }
+
+  Dn suffix_;
+  std::vector<Dn> dns_;
+  int nonempty_ = 0;  // searches whose oracle found something
+};
+
+TEST_F(IndexPropertyTest, SearchEqualsBruteForceScanOnEveryWritePath) {
+  for (std::uint64_t seed : {1, 2, 3, 4}) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Rng rng(seed);
+    SimClock clock(0);
+    DirectoryServer server(suffix_, "ldap://primary");
+    server.SetClock(&clock);
+    DirectoryServer replica(suffix_, "ldap://replica");
+
+    // Bulk load, parents first (dns_ is in key order, which puts the
+    // "cn=…" leaves before their parents; sort by depth).
+    std::vector<Dn> by_depth = dns_;
+    std::stable_sort(by_depth.begin(), by_depth.end(),
+                     [](const Dn& a, const Dn& b) { return a.depth() < b.depth(); });
+    std::vector<Entry> batch;
+    for (const Dn& dn : by_depth) {
+      const bool parent_loaded =
+          dn.Parent() == suffix_ ||
+          std::any_of(batch.begin(), batch.end(),
+                      [&](const Entry& e) { return e.dn() == dn.Parent(); });
+      if (parent_loaded && rng.Chance(0.8)) {
+        batch.push_back(RandomIndexedEntry(rng, dn));
+      }
+    }
+    ASSERT_TRUE(server.UpsertBatch(batch).ok());
+    ExpectSearchEqualsScan(server, rng, "UpsertBatch");
+
+    Mutate(server, rng, 60);
+    ExpectSearchEqualsScan(server, rng, "Add/Modify/Upsert/Delete");
+
+    clock.Set(50 * kSecond);
+    ASSERT_TRUE(server.ExpireLeases(clock.Now()).ok());
+    ExpectSearchEqualsScan(server, rng, "ExpireLeases");
+
+    ASSERT_TRUE(replica.ApplyReplicatedBatch(server.ChangesSince(0)).ok());
+    ExpectSearchEqualsScan(replica, rng, "ApplyReplicatedBatch");
+
+    ASSERT_TRUE(server
+                    .CutoverSubtree(schema::HostDn(suffix_, "h1"),
+                                    "ldap://other")
+                    .ok());
+    ExpectSearchEqualsScan(server, rng, "CutoverSubtree");
+
+    Mutate(server, rng, 40);
+    server.Crash();
+    server.Restart();
+    ExpectSearchEqualsScan(server, rng, "Crash+Restart");
+
+    ASSERT_TRUE(replica
+                    .ApplyReplicatedBatch(
+                        server.ChangesSince(replica.last_seq()))
+                    .ok());
+    ExpectSearchEqualsScan(replica, rng, "replica catch-up");
+  }
+  EXPECT_GT(nonempty_, 4 * 7 * 80 / 4) << "the oracle matched too little";
 }
 
 }  // namespace

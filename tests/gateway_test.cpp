@@ -16,6 +16,7 @@
 #include "transport/net_sink.hpp"
 #include "transport/tcp.hpp"
 #include "ulm/binary.hpp"
+#include "ulm/xml.hpp"
 
 namespace jamm::gateway {
 namespace {
@@ -747,6 +748,55 @@ TEST(GatewayServiceTest, BatchedClientDecodesTransparently) {
   ASSERT_EQ(drained.size(), 1u);
   EXPECT_EQ(drained[0].timestamp(), 7);
   EXPECT_EQ(client.pending_dropped(), 0u);
+}
+
+TEST(GatewayServiceTest, XmlClientDecodesTransparently) {
+  // An xml subscription streams through NextEvent()/DrainEvents() like any
+  // other format: gw.event.xml frames decode back into the records sent,
+  // markup characters included.
+  ServiceHarness h;
+  auto channel = h.net.Dial("gw");
+  ASSERT_TRUE(channel.ok());
+  GatewayClient client(std::move(*channel));
+  h.service->PollOnce();  // accept
+  ASSERT_TRUE(client.SubscribeAsync("c", {}, /*xml=*/true).ok());
+  h.service->PollOnce();
+
+  std::vector<ulm::Record> sent;
+  for (int i = 0; i < 4; ++i) {
+    ulm::Record rec = ValueEvent(i, "CPU", i, "h<1>", "a&b");
+    rec.SetField("NOTE", "say \"hi\" & 'bye' <now>");
+    sent.push_back(rec);
+    h.gw.Publish(rec);
+  }
+  for (int i = 0; i < 2; ++i) {
+    auto ev = client.NextEvent(kSecond);
+    ASSERT_TRUE(ev.ok()) << ev.status().ToString();
+    EXPECT_EQ(*ev, sent[i]);
+  }
+  const std::vector<ulm::Record> drained = client.DrainEvents();
+  EXPECT_EQ(drained, std::vector<ulm::Record>(sent.begin() + 2, sent.end()));
+}
+
+TEST(GatewayServiceTest, UndecodableXmlFrameIsCountedAndSkipped) {
+  auto [near, far] = transport::MakeChannelPair();
+  GatewayClient client(std::move(near));
+  auto& errors =
+      telemetry::Metrics().counter("gateway.client.xml_decode_errors");
+  const std::uint64_t before = errors.Value();
+  const std::string good = ulm::ToXml(ValueEvent(5, "CPU", 1));
+  ASSERT_TRUE(far->Send({transport::kEventXmlMessageType,
+                         good.substr(0, good.size() - 3)}).ok());
+  ASSERT_TRUE(far->Send({transport::kEventXmlMessageType, good}).ok());
+  auto ev = client.NextEvent(kSecond);
+  ASSERT_TRUE(ev.ok()) << ev.status().ToString();
+  EXPECT_EQ(ev->timestamp(), 5);
+  EXPECT_EQ(errors.Value(), before + 1);
+
+  ASSERT_TRUE(far->Send({transport::kEventXmlMessageType, "<event/>"}).ok());
+  ASSERT_TRUE(far->Send({transport::kEventXmlMessageType, good}).ok());
+  EXPECT_EQ(client.DrainEvents().size(), 1u);
+  EXPECT_EQ(errors.Value(), before + 2);
 }
 
 TEST(GatewayServiceTest, MixedFormatsPerSubscription) {

@@ -120,6 +120,40 @@ TEST_P(UlmRoundTrip, CrossCodecRoundTripsAreByteIdentical) {
   }
 }
 
+// gw.event.xml carries ToXml; FromXml must invert it exactly, whichever
+// codec carried the record before, so an xml subscriber sees the same
+// record an ASCII or batch subscriber does.
+TEST_P(UlmRoundTrip, XmlCrossCodecRoundTripIsIdentity) {
+  Rng rng(0xBEEF05 ^ static_cast<std::uint64_t>(GetParam().field_count));
+  for (int trial = 0; trial < 100; ++trial) {
+    const ulm::Record rec = RandomRecord(rng, GetParam());
+    const std::string xml = ulm::ToXml(rec);
+    auto from_xml = ulm::FromXml(xml);
+    ASSERT_TRUE(from_xml.ok()) << xml << ": " << from_xml.status().ToString();
+    EXPECT_EQ(*from_xml, rec);
+    EXPECT_EQ(from_xml->ToAscii(), rec.ToAscii());
+    EXPECT_EQ(ulm::EncodeBinary(*from_xml), ulm::EncodeBinary(rec));
+
+    // ASCII → XML → binary and binary → XML → ASCII, byte-identical.
+    auto from_ascii = ulm::Record::FromAscii(rec.ToAscii());
+    ASSERT_TRUE(from_ascii.ok());
+    auto via_xml = ulm::FromXml(ulm::ToXml(*from_ascii));
+    ASSERT_TRUE(via_xml.ok());
+    EXPECT_EQ(ulm::EncodeBinary(*via_xml), ulm::EncodeBinary(rec));
+    std::size_t offset = 0;
+    auto from_binary = ulm::DecodeBinary(ulm::EncodeBinary(rec), &offset);
+    ASSERT_TRUE(from_binary.ok());
+    via_xml = ulm::FromXml(ulm::ToXml(*from_binary));
+    ASSERT_TRUE(via_xml.ok());
+    EXPECT_EQ(via_xml->ToAscii(), rec.ToAscii());
+
+    // The flat transcoder's XML decodes to the same record.
+    auto from_flat = ulm::FromXml(ulm::FlatRecord::FromRecord(rec).View().ToXml());
+    ASSERT_TRUE(from_flat.ok());
+    EXPECT_EQ(*from_flat, rec);
+  }
+}
+
 // Batch framing (gw.event.batch) is a bare concatenation of
 // self-delimiting binary records: batch-encode → batch-decode must be the
 // identity on random record vectors, in order and in full.

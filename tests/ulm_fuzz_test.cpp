@@ -19,6 +19,7 @@
 #include "ulm/binary.hpp"
 #include "ulm/flat.hpp"
 #include "ulm/record.hpp"
+#include "ulm/xml.hpp"
 
 namespace jamm::ulm {
 namespace {
@@ -248,6 +249,96 @@ TEST(UlmFuzzTest, ValidRecordsAlwaysRoundTripThroughEveryCodec) {
     const FlatRecord flat = FlatRecord::FromRecord(rec);
     EXPECT_EQ(flat.View().ToAscii(), rec.ToAscii());
     EXPECT_EQ(EncodeBinary(flat.View()), EncodeBinary(rec));
+  }
+}
+
+// ------------------------------------------------- gw.event.xml corpus
+
+/// A corpus record whose DATE the XML grammar can carry (four-digit
+/// years, like the ASCII codec).
+Record XmlCorpusRecord(Rng& rng) {
+  Record rec = CorpusRecord(rng);
+  rec.set_timestamp(rng.Uniform(0, 4102444800) * kSecond +
+                    rng.Uniform(0, 999999));
+  if (rng.Chance(0.5)) rec.SetField("MARKUP", "<a href=\"x\">&amp;'</a>");
+  return rec;
+}
+
+/// FromXml's contract under fire: whatever the bytes, it fails cleanly or
+/// yields a record that re-encodes to exactly those bytes (the parser
+/// accepts only what ToXml writes).
+void MustParseXmlSafely(const std::string& data) {
+  auto rec = FromXml(data);
+  if (rec.ok()) {
+    ASSERT_EQ(ToXml(*rec), data);
+  }
+}
+
+TEST(UlmFuzzTest, XmlTruncatedAtEveryByteRejects) {
+  Rng rng(0xFEED08);
+  for (int trial = 0; trial < 20; ++trial) {
+    const std::string xml = ToXml(XmlCorpusRecord(rng));
+    ASSERT_TRUE(FromXml(xml).ok()) << xml;
+    for (std::size_t cut = 0; cut < xml.size(); ++cut) {
+      EXPECT_FALSE(FromXml(xml.substr(0, cut)).ok()) << "cut=" << cut;
+    }
+  }
+}
+
+TEST(UlmFuzzTest, XmlBitFlipsNeverCrashOrMisparse) {
+  Rng rng(0xFEED09);
+  for (int trial = 0; trial < 100; ++trial) {
+    const std::string xml = ToXml(XmlCorpusRecord(rng));
+    for (std::size_t pos = 0; pos < xml.size(); ++pos) {
+      std::string mutant = xml;
+      mutant[pos] = static_cast<char>(mutant[pos] ^ (1 << rng.Uniform(0, 7)));
+      MustParseXmlSafely(mutant);
+    }
+  }
+}
+
+TEST(UlmFuzzTest, XmlRandomMutationsAndSplicesNeverCrashOrMisparse) {
+  Rng rng(0xFEED0A);
+  for (int trial = 0; trial < 3000; ++trial) {
+    std::string data = ToXml(XmlCorpusRecord(rng));
+    if (rng.Chance(0.2)) data += ToXml(XmlCorpusRecord(rng));  // two elements
+    const int edits = static_cast<int>(rng.Uniform(1, 8));
+    for (int e = 0; e < edits && !data.empty(); ++e) {
+      const std::size_t pos = static_cast<std::size_t>(
+          rng.Uniform(0, static_cast<std::int64_t>(data.size() - 1)));
+      switch (rng.Uniform(0, 3)) {
+        case 0:
+          data[pos] = static_cast<char>(rng.Uniform(0, 255));
+          break;
+        case 1: {
+          // Insert markup the grammar cares about.
+          static constexpr const char* kTokens[] = {
+              "<", ">", "\"", "'", "&", "&amp;", "&bogus;", "/>",
+              "</event>", "<field name=\"F0\">", "</field>", " name=\"\""};
+          data.insert(pos, kTokens[rng.Uniform(0, 11)]);
+          break;
+        }
+        case 2:
+          data.erase(pos, 1);
+          break;
+        default:
+          data.erase(pos, static_cast<std::size_t>(rng.Uniform(1, 16)));
+          break;
+      }
+    }
+    MustParseXmlSafely(data);
+  }
+}
+
+TEST(UlmFuzzTest, XmlGarbageCorpus) {
+  Rng rng(0xFEED0B);
+  for (int trial = 0; trial < 2000; ++trial) {
+    std::string data = rng.Chance(0.5) ? "<event date=\"" : "";
+    const int len = static_cast<int>(rng.Uniform(0, 200));
+    for (int c = 0; c < len; ++c) {
+      data += static_cast<char>(rng.Uniform(0, 255));
+    }
+    MustParseXmlSafely(data);
   }
 }
 
