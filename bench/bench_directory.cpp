@@ -89,13 +89,14 @@ Fleet Populate() {
     batch.clear();
   };
   for (int h = 0; h * kSensorsPerHost < kEntries; ++h) {
-    const std::string host = "h" + std::to_string(h);
+    const std::string host = std::string("h").append(std::to_string(h));
     batch.push_back(schema::MakeHostEntry(Suffix(), host));
     const Dn host_dn = schema::HostDn(Suffix(), host);
     for (int s = 0; s < kSensorsPerHost; ++s) {
       // Lean entries: objectclass + lease only, so the bench measures the
       // store, not attribute-string shoveling.
-      Entry entry(host_dn.Child("cn", "s" + std::to_string(s)));
+      Entry entry(
+          host_dn.Child("cn", std::string("s").append(std::to_string(s))));
       entry.Set(schema::kAttrObjectClass, "jammSensor");
       schema::StampLease(entry, kFarFuture);
       fleet.dns.push_back(entry.dn());
@@ -231,7 +232,7 @@ SearchStory SearchAndWriteCost() {
     std::vector<Entry> batch;
     for (int s = 0; s < 100; ++s) {
       Entry entry(schema::HostDn(Suffix(), host)
-                      .Child("cn", "s" + std::to_string(s)));
+                      .Child("cn", std::string("s").append(std::to_string(s))));
       entry.Set(schema::kAttrObjectClass, "jammSensor");
       entry.Set(schema::kAttrHost, host);
       batch.push_back(std::move(entry));

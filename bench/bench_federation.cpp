@@ -117,9 +117,13 @@ std::unique_ptr<Tree> BuildTree(int depth, int fanout) {
     tree->tiers.emplace_back();
     if (!is_root) tree->tier_services.emplace_back();
     for (int i = 0; i < nodes; ++i) {
-      const std::string name =
-          is_root ? "root" : "t" + std::to_string(tier) + "-" +
-                                 std::to_string(i);
+      std::string name = "root";
+      if (!is_root) {
+        name = "t";
+        name += std::to_string(tier);
+        name += '-';
+        name += std::to_string(i);
+      }
       auto node = std::make_unique<federation::RepublisherGateway>(
           name, tree->clock, options);
       const int span = static_cast<int>(below.size()) / nodes;
@@ -280,7 +284,8 @@ std::size_t LeafStreams(int root_subscribers) {
                             .dialer = [&net] { return net.Dial("leaf"); },
                             .auth_payload = ""});
   for (int i = 0; i < root_subscribers; ++i) {
-    (void)site.SubscribeEncoded("c" + std::to_string(i), CpuSpec(),
+    (void)site.SubscribeEncoded(std::string("c").append(std::to_string(i)),
+                                CpuSpec(),
                                 [](const ulm::EncodedRecord&) {});
   }
   site.Pump();

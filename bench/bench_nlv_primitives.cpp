@@ -76,7 +76,7 @@ ulm::Record MakeEvent(int i) {
     const int hop = (i / 8) % 4;
     const int trace = i / 32;
     ulm::Record rec(ts, host, "app", "Usage", kHops[hop]);
-    const std::string trace_id = "t" + std::to_string(trace);
+    const std::string trace_id = std::string("t").append(std::to_string(trace));
     rec.SetField("TRACE.ID", trace_id);
     rec.SetField("SPAN.ID", trace_id + "#" + std::to_string(hop));
     rec.SetField("VAL", static_cast<double>(1 + (trace % 40)));

@@ -86,7 +86,8 @@ double TimedFanoutPass(const std::vector<ulm::Record>& events, int nsubs,
         sink += ulm::EncodeBinary(enc.record()).size();  // per-subscriber
       };
     }
-    (void)gw.SubscribeEncoded("c" + std::to_string(c), {}, std::move(cb));
+    (void)gw.SubscribeEncoded(std::string("c").append(std::to_string(c)), {},
+                              std::move(cb));
   }
   const double t0 = NowSeconds();
   for (int i = 0; i < kFanoutPublishes; ++i) {

@@ -20,7 +20,8 @@ Record SensorRecord(int user_fields) {
              "netstat", "Usage", "TCPD_RETRANSMITS");
   rec.SetField("VAL", std::int64_t{4});
   for (int i = 1; i < user_fields; ++i) {
-    rec.SetField("F" + std::to_string(i), static_cast<std::int64_t>(i * 997));
+    rec.SetField(std::string("F").append(std::to_string(i)),
+                 static_cast<std::int64_t>(i * 997));
   }
   return rec;
 }

@@ -655,7 +655,9 @@ std::string EventArchive::ContentsSummary() const {
   for (const auto& [event_name, count] : merged) {
     if (!out.empty()) out += ' ';
     out += event_name;
-    out += "(" + std::to_string(count) + ")";
+    out += '(';
+    out += std::to_string(count);
+    out += ')';
   }
   return out;
 }

@@ -63,7 +63,12 @@ class BoundedQueue {
   }
 
   /// Pop with a deadline; empty optional on timeout or closed-and-drained.
+  /// A zero timeout is a poll (TryPop): wait_for with a zero duration
+  /// still enters the futex and sleeps out the thread's timer slack, tens
+  /// of µs per empty call. A negative timeout blocks like Pop().
   std::optional<T> PopFor(Duration timeout_us) {
+    if (timeout_us == 0) return TryPop();
+    if (timeout_us < 0) return Pop();
     std::unique_lock lock(mu_);
     not_empty_.wait_for(lock, std::chrono::microseconds(timeout_us),
                         [&] { return closed_ || !items_.empty(); });

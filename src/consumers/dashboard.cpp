@@ -44,7 +44,9 @@ std::string RenderSensorTable(directory::DirectoryPool& pool,
     out += Pad(entry.Get(schema::kAttrStartTime), 22);
     out += "\n";
   }
-  out += "(" + std::to_string(result->entries.size()) + " sensors)\n";
+  out += '(';
+  out += std::to_string(result->entries.size());
+  out += " sensors)\n";
   return out;
 }
 
@@ -68,7 +70,9 @@ std::string RenderArchiveTable(directory::DirectoryPool& pool,
     out += entry.Get(schema::kAttrContents);
     out += "\n";
   }
-  out += "(" + std::to_string(result->entries.size()) + " archives)\n";
+  out += '(';
+  out += std::to_string(result->entries.size());
+  out += " archives)\n";
   return out;
 }
 

@@ -755,7 +755,8 @@ Status GatewayClient::ReauthenticateWith(const std::string& auth_payload) {
 
 void GatewayClient::SetQueueSpec(OverflowPolicy policy,
                                  std::size_t capacity) {
-  queue_spec_ = "queue:" + std::string(OverflowPolicyName(policy));
+  queue_spec_ = "queue:";
+  queue_spec_ += OverflowPolicyName(policy);
   if (capacity > 0) queue_spec_ += ":" + std::to_string(capacity);
 }
 

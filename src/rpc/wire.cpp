@@ -53,7 +53,9 @@ Result<std::vector<std::string>> DecodeStrings(std::string_view data) {
   out.reserve(count);
   for (std::uint64_t k = 0; k < count; ++k) {
     std::uint64_t len;
-    if (!GetVarint(data, i, len) || i + len > data.size()) {
+    // Compared as `len > remaining`: `i + len` wraps for a forged length
+    // near 2^64 and would re-read bytes already consumed.
+    if (!GetVarint(data, i, len) || len > data.size() - i) {
       return Status::ParseError("rpc marshal: truncated string " +
                                 std::to_string(k));
     }

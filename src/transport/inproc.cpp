@@ -95,6 +95,9 @@ class InProcListener final : public Listener {
       if (pending_->closed()) {
         return Status::Unavailable("listener closed: " + name_);
       }
+      // A poll's message fits the string's inline buffer, so an empty
+      // Accept(0) does not allocate.
+      if (timeout == 0) return Status::Timeout("no connection");
       return Status::Timeout("no inbound connection: " + name_);
     }
     return std::move(*chan);

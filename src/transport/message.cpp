@@ -54,27 +54,31 @@ std::string EncodeFrame(const Message& msg) {
 }
 
 Result<Message> DecodeFrame(std::string_view data, std::size_t* offset) {
-  std::size_t i = *offset;
+  // Both length prefixes are checked before anything is copied, and the
+  // NotFound message fits the string's inline buffer: polling a partial
+  // frame does not allocate.
+  const std::size_t type_at = *offset + 4;
   std::uint32_t type_len;
-  if (!GetU32(data, i, type_len)) return Status::NotFound("incomplete frame");
+  if (!GetU32(data, *offset, type_len)) return Status::NotFound("incomplete");
   if (type_len > kMaxFrameBytes) {
     Instruments().decode_errors.Increment();
     return Status::ParseError("frame type too large");
   }
-  i += 4;
-  if (i + type_len > data.size()) return Status::NotFound("incomplete frame");
-  std::string type(data.substr(i, type_len));
-  i += type_len;
   std::uint32_t payload_len;
-  if (!GetU32(data, i, payload_len)) return Status::NotFound("incomplete frame");
+  if (!GetU32(data, type_at + type_len, payload_len)) {
+    return Status::NotFound("incomplete");
+  }
   if (payload_len > kMaxFrameBytes) {
     Instruments().decode_errors.Increment();
     return Status::ParseError("frame payload too large");
   }
-  i += 4;
-  if (i + payload_len > data.size()) return Status::NotFound("incomplete frame");
-  Message msg{std::move(type), std::string(data.substr(i, payload_len))};
-  *offset = i + payload_len;
+  const std::size_t payload_at = type_at + type_len + 4;
+  if (payload_at + payload_len > data.size()) {
+    return Status::NotFound("incomplete");
+  }
+  Message msg{std::string(data.substr(type_at, type_len)),
+              std::string(data.substr(payload_at, payload_len))};
+  *offset = payload_at + payload_len;
   Instruments().frames_decoded.Increment();
   return msg;
 }

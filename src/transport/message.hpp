@@ -10,6 +10,16 @@
 // Wire framing (TCP): u32-LE type length, type bytes, u32-LE payload
 // length, payload bytes. Messages are independent frames; a stream of them
 // concatenates.
+//
+// Timeouts (Channel::Receive, Listener::Accept), the same on every
+// transport:
+//   * timeout > 0 — wait up to that many µs;
+//   * timeout == 0 — poll: return at once, never sleep;
+//   * timeout < 0 — block until a message/connection arrives or the
+//     channel/listener closes.
+// Service loops poll with Accept(0) and TryReceive; on both transports an
+// empty call neither sleeps nor allocates (its Timeout message fits the
+// string's inline buffer).
 #pragma once
 
 #include <memory>
@@ -35,7 +45,8 @@ inline constexpr std::size_t kMaxFrameBytes = 16 * 1024 * 1024;
 /// Serialize/deserialize one frame (used by the TCP channel and tests).
 std::string EncodeFrame(const Message& msg);
 /// Decodes one frame starting at *offset, advancing it. NotFound means
-/// "incomplete frame — need more bytes" (distinct from a ParseError).
+/// "incomplete frame — need more bytes" (distinct from a ParseError); it
+/// copies nothing and does not allocate, so a reader may poll with it.
 Result<Message> DecodeFrame(std::string_view data, std::size_t* offset);
 
 /// Bidirectional, ordered, reliable message channel.
@@ -57,11 +68,12 @@ class Channel {
     return true;
   }
 
-  /// Blocks up to `timeout`; Timeout status if nothing arrived, Unavailable
-  /// if the peer closed and the buffer is drained.
+  /// Waits per the timeout contract above; Timeout status if nothing
+  /// arrived, Unavailable if the peer closed and the buffer is drained.
   virtual Result<Message> Receive(Duration timeout) = 0;
 
-  /// Non-blocking receive.
+  /// Non-blocking receive: a complete message, or nullopt (nothing ready,
+  /// or closed). An empty call does not allocate.
   virtual std::optional<Message> TryReceive() = 0;
 
   virtual void Close() = 0;
@@ -86,7 +98,9 @@ class Listener {
  public:
   virtual ~Listener() = default;
 
-  /// Blocks up to `timeout` for one inbound connection.
+  /// Waits per the timeout contract above for one inbound connection;
+  /// Timeout if none arrived, Unavailable once closed. Accept(0) is the
+  /// non-blocking poll.
   virtual Result<std::unique_ptr<Channel>> Accept(Duration timeout) = 0;
 
   virtual void Close() = 0;

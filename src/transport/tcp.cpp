@@ -59,19 +59,13 @@ class TcpChannel final : public Channel {
   Result<Message> Receive(Duration timeout) override {
     // Repeatedly: try decoding from the buffer; otherwise read more.
     while (true) {
-      std::size_t offset = 0;
-      auto msg = DecodeFrame(recv_buf_, &offset);
-      if (msg.ok()) {
-        recv_buf_.erase(0, offset);
-        return msg;
-      }
-      if (msg.status().code() != StatusCode::kNotFound) return msg.status();
+      auto msg = TakeFrame();
+      if (msg.status().code() != StatusCode::kNotFound) return msg;
       if (fd_ < 0) return Status::Unavailable("channel closed: " + peer_);
       if (!PollFd(fd_, POLLIN, timeout)) {
         return Status::Timeout("no data within timeout from " + peer_);
       }
-      char chunk[16384];
-      const ssize_t n = ::recv(fd_, chunk, sizeof(chunk), 0);
+      const ssize_t n = RecvChunk(0);
       if (n == 0) {
         return Status::Unavailable("peer closed: " + peer_);
       }
@@ -79,23 +73,20 @@ class TcpChannel final : public Channel {
         if (errno == EINTR) continue;
         return Status::Unavailable(ErrnoMessage("recv"));
       }
-      recv_buf_.append(chunk, static_cast<std::size_t>(n));
     }
   }
 
   std::optional<Message> TryReceive() override {
-    // Drain whatever is immediately available, then decode.
-    while (fd_ >= 0 && PollFd(fd_, POLLIN, 0)) {
-      char chunk[16384];
-      const ssize_t n = ::recv(fd_, chunk, sizeof(chunk), MSG_DONTWAIT);
-      if (n <= 0) break;
-      recv_buf_.append(chunk, static_cast<std::size_t>(n));
+    // Frames already buffered cost no syscall; otherwise read what the
+    // socket holds. An empty poll is one recv that answers EAGAIN.
+    while (true) {
+      auto msg = TakeFrame();
+      if (msg.ok()) return std::move(*msg);
+      if (msg.status().code() != StatusCode::kNotFound || fd_ < 0 ||
+          RecvChunk(MSG_DONTWAIT) <= 0) {
+        return std::nullopt;
+      }
     }
-    std::size_t offset = 0;
-    auto msg = DecodeFrame(recv_buf_, &offset);
-    if (!msg.ok()) return std::nullopt;
-    recv_buf_.erase(0, offset);
-    return std::move(*msg);
   }
 
   void Close() override {
@@ -112,6 +103,23 @@ class TcpChannel final : public Channel {
   std::string peer() const override { return peer_; }
 
  private:
+  /// One recv into recv_buf_; returns its result.
+  ssize_t RecvChunk(int flags) {
+    char chunk[16384];
+    const ssize_t n = ::recv(fd_, chunk, sizeof(chunk), flags);
+    if (n > 0) recv_buf_.append(chunk, static_cast<std::size_t>(n));
+    return n;
+  }
+
+  /// Decodes the next buffered frame, dropping its bytes; NotFound until
+  /// a whole frame has arrived.
+  Result<Message> TakeFrame() {
+    std::size_t offset = 0;
+    auto msg = DecodeFrame(recv_buf_, &offset);
+    if (msg.ok()) recv_buf_.erase(0, offset);
+    return msg;
+  }
+
   int fd_;
   std::string peer_;
   std::string recv_buf_;
@@ -139,6 +147,7 @@ Result<std::unique_ptr<TcpListener>> TcpListener::Create(std::uint16_t port) {
     ::close(fd);
     return Status::Unavailable(ErrnoMessage("bind"));
   }
+  ::fcntl(fd, F_SETFL, ::fcntl(fd, F_GETFL, 0) | O_NONBLOCK);
   if (::listen(fd, 64) < 0) {
     ::close(fd);
     return Status::Unavailable(ErrnoMessage("listen"));
@@ -155,16 +164,34 @@ Result<std::unique_ptr<TcpListener>> TcpListener::Create(std::uint16_t port) {
 TcpListener::~TcpListener() { Close(); }
 
 Result<std::unique_ptr<Channel>> TcpListener::Accept(Duration timeout) {
-  if (fd_ < 0) return Status::Unavailable("listener closed");
-  if (!PollFd(fd_, POLLIN, timeout)) {
-    return Status::Timeout("no inbound connection on port " +
-                           std::to_string(port_));
+  while (true) {
+    if (fd_ < 0) return Status::Unavailable("listener closed");
+    // A poll skips poll(2): the listening socket is non-blocking (Create),
+    // so an empty accept answers EAGAIN at once. The accepted socket does
+    // not inherit that.
+    if (timeout != 0 && !PollFd(fd_, POLLIN, timeout)) {
+      return Status::Timeout("no inbound connection on port " +
+                             std::to_string(port_));
+    }
+    sockaddr_in addr{};
+    socklen_t len = sizeof(addr);
+    const int client = ::accept(fd_, reinterpret_cast<sockaddr*>(&addr), &len);
+    if (client >= 0) {
+      return std::unique_ptr<Channel>(new TcpChannel(client, PeerName(addr)));
+    }
+    if (errno != EAGAIN && errno != EWOULDBLOCK && errno != ECONNABORTED) {
+      return Status::Unavailable(ErrnoMessage("accept"));
+    }
+    // Short enough for the string's inline buffer: an empty poll does not
+    // allocate.
+    if (timeout == 0) return Status::Timeout("no connection");
+    // The connection poll saw was reset before it was taken; a blocking
+    // accept waits for the next one.
+    if (timeout > 0) {
+      return Status::Timeout("inbound connection aborted on port " +
+                             std::to_string(port_));
+    }
   }
-  sockaddr_in addr{};
-  socklen_t len = sizeof(addr);
-  const int client = ::accept(fd_, reinterpret_cast<sockaddr*>(&addr), &len);
-  if (client < 0) return Status::Unavailable(ErrnoMessage("accept"));
-  return std::unique_ptr<Channel>(new TcpChannel(client, PeerName(addr)));
 }
 
 void TcpListener::Close() {

@@ -1,6 +1,7 @@
 // POSIX TCP transport: the real plumbing for cross-host deployments. The
-// channel frames Messages (see message.hpp) on a blocking socket; receives
-// honor timeouts via poll(2). Single-threaded use per side matches the
+// channel frames Messages (see message.hpp) on a blocking socket; timed
+// receives and accepts wait in poll(2); an empty Accept(0) or TryReceive
+// is one non-blocking accept/recv. Single-threaded use per side matches the
 // rest of the system; Send is additionally mutex-guarded so a logger on
 // another thread can share a channel safely.
 #pragma once

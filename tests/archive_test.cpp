@@ -210,7 +210,8 @@ TEST(CompactionTest, DecisionsSurviveSaveLoadRoundTrip) {
   config.max_records = 64;
   EventArchive ar("a", 7, config);
   for (int i = 0; i < 300; ++i) {
-    ar.Ingest(Event(i * kSecond, "E" + std::to_string(i % 5), i));
+    ar.Ingest(Event(i * kSecond, std::string("E").append(std::to_string(i % 5)),
+                    i));
   }
   ar.SealActive();
   CompactionPolicy policy;
@@ -239,8 +240,8 @@ TEST(SegmentedPersistenceTest, SaveLoadSaveIsByteIdentical) {
   config.max_records = 16;
   EventArchive ar("a", 3, config);
   for (int i = 0; i < 100; ++i) {
-    ar.Ingest(Event(i * kSecond, "E" + std::to_string(i % 3), i,
-                    "host" + std::to_string(i % 2)));
+    ar.Ingest(Event(i * kSecond, std::string("E").append(std::to_string(i % 3)),
+                    i, std::string("host").append(std::to_string(i % 2))));
   }
   const std::string bytes = ar.SaveToBytes();
   auto loaded = EventArchive::LoadFromBytes("a", bytes, 3, config);
@@ -489,7 +490,8 @@ TEST(ArchiveIntegrationTest, GatewayCrashToClientQueryExactAccounting) {
   std::set<double> delivered;
   auto publish = [&](int lo, int hi) {
     for (int i = lo; i < hi; ++i) {
-      gw->Publish(Event(i * kSecond, "E" + std::to_string(i % 3), i));
+      gw->Publish(Event(i * kSecond,
+                        std::string("E").append(std::to_string(i % 3)), i));
       delivered.insert(i);
     }
   };

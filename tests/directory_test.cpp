@@ -184,7 +184,8 @@ TEST(FilterTest, PropertyRandomFiltersAgreeWithDirectEval) {
     Entry e(MustParse("cn=x, o=p"));
     const int attr_count = static_cast<int>(rng.Uniform(0, 4));
     for (int a = 0; a < attr_count; ++a) {
-      e.Set("a" + std::to_string(a), std::to_string(rng.Uniform(0, 2)));
+      e.Set(std::string("a").append(std::to_string(a)),
+            std::to_string(rng.Uniform(0, 2)));
     }
     // (a0=0) and (a1=1) ground truth:
     const bool m0 = e.Get("a0") == "0";
@@ -582,7 +583,7 @@ TEST_F(ReplicationTest, PropertyRandomOpsConverge) {
   for (int op = 0; op < 300; ++op) {
     const int kind = static_cast<int>(rng.Uniform(0, 2));
     if (kind == 0 || hosts.empty()) {
-      std::string host = "h" + std::to_string(op);
+      std::string host = std::string("h").append(std::to_string(op));
       (void)primary_->Upsert(schema::MakeHostEntry(suffix_, host));
       hosts.push_back(host);
     } else if (kind == 1) {
@@ -1020,9 +1021,9 @@ TEST_F(RecoveryTest, UpsertBatchIsOneGroupCommit) {
   std::vector<Entry> batch;
   batch.push_back(schema::MakeHostEntry(suffix_, "dpss1"));
   for (int i = 0; i < 8; ++i) {
-    batch.push_back(schema::MakeSensorEntry(suffix_, "dpss1",
-                                            "s" + std::to_string(i), "cpu",
-                                            "inproc:gw.dpss1", 1000, 0));
+    batch.push_back(schema::MakeSensorEntry(
+        suffix_, "dpss1", std::string("s").append(std::to_string(i)), "cpu",
+        "inproc:gw.dpss1", 1000, 0));
   }
   const auto commits_before = server.stats().wal_commits;
   ASSERT_TRUE(server.UpsertBatch(batch).ok());
@@ -1068,9 +1069,9 @@ TEST(SnapshotReadTest, ReadsProceedUnderWriteSaturation) {
   ASSERT_TRUE(server.Upsert(schema::MakeHostEntry(suffix, "dpss1")).ok());
   std::vector<Dn> dns;
   for (int i = 0; i < 32; ++i) {
-    auto entry = schema::MakeSensorEntry(suffix, "dpss1",
-                                         "s" + std::to_string(i), "cpu",
-                                         "inproc:gw.dpss1", 1000, 0);
+    auto entry = schema::MakeSensorEntry(
+        suffix, "dpss1", std::string("s").append(std::to_string(i)), "cpu",
+        "inproc:gw.dpss1", 1000, 0);
     schema::StampLease(entry, kSecond);
     ASSERT_TRUE(server.Upsert(entry).ok());
     dns.push_back(entry.dn());
@@ -1580,7 +1581,8 @@ class IndexPropertyTest : public ::testing::Test {
     for (const Dn& parent : parents) {
       dns_.push_back(parent);
       for (int i = 0; i < 5; ++i) {
-        dns_.push_back(parent.Child("cn", "s" + std::to_string(i)));
+        dns_.push_back(
+            parent.Child("cn", std::string("s").append(std::to_string(i))));
       }
     }
     std::sort(dns_.begin(), dns_.end(), [](const Dn& a, const Dn& b) {

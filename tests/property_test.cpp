@@ -59,7 +59,8 @@ ulm::Record RandomRecord(Rng& rng, const UlmShape& shape) {
                    : static_cast<char>(rng.Uniform('a', 'z'));
     }
     if (shape.nasty_values && rng.Chance(0.3)) value += "\"\\\n end";
-    rec.SetField("F" + std::to_string(f), std::string_view(value));
+    rec.SetField(std::string("F").append(std::to_string(f)),
+                 std::string_view(value));
   }
   return rec;
 }
@@ -363,7 +364,8 @@ TEST_P(DirectoryScopes, SubtreeCountsMatch) {
     (void)server.Upsert(directory::schema::MakeHostEntry(suffix, host));
     for (int s = 0; s < c.sensors_per_host; ++s) {
       (void)server.Upsert(directory::schema::MakeSensorEntry(
-          suffix, host, "s" + std::to_string(s), "cpu", "gw", 1000, 0));
+          suffix, host, std::string("s").append(std::to_string(s)), "cpu",
+          "gw", 1000, 0));
     }
   }
   auto result = server.Search(suffix, c.scope, directory::Filter::MatchAll());

@@ -693,7 +693,7 @@ TEST(DirectoryFailoverTest, BreakersSkipServersThatKeepFailing) {
   for (int i = 0; i < 4; ++i) {
     ASSERT_TRUE(
         pool.Upsert(directory::schema::MakeHostEntry(
-                        suffix, "h" + std::to_string(i)))
+                        suffix, std::string("h").append(std::to_string(i))))
             .ok());
   }
   EXPECT_EQ(pool.write_primary(), "ldap://replica");
@@ -727,7 +727,7 @@ TEST(DirectoryFailoverTest, ReplicaCrashScheduleStillConverges) {
     replica->SetAlive(schedule.AliveAt(t));
     ASSERT_TRUE(primary
                     ->Upsert(directory::schema::MakeHostEntry(
-                        suffix, "h" + std::to_string(tick)))
+                        suffix, std::string("h").append(std::to_string(tick))))
                     .ok());
     if (tick % 3 == 0) {
       if (!replica->alive()) saw_down_sync = true;

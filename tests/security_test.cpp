@@ -556,7 +556,7 @@ TEST(DecisionCacheTest, CapacitySweepClears) {
   options.capacity_per_shard = 8;
   DecisionCache cache(options);
   for (int i = 0; i < 64; ++i) {
-    cache.Insert("p" + std::to_string(i), "r", "a", true);
+    cache.Insert(std::string("p").append(std::to_string(i)), "r", "a", true);
   }
   auto stats = cache.stats();
   EXPECT_GE(stats.capacity_sweeps, 1u);

@@ -1,8 +1,16 @@
 // Tests for the transport layer: frame codec, in-proc channels and the
-// named endpoint registry, real TCP channels on localhost, and the
-// NetLogger-over-transport sink in both ASCII and binary encodings.
+// named endpoint registry, real TCP channels on localhost, the timeout
+// contract and idle-poll cost both share, and the NetLogger-over-transport
+// sink in both ASCII and binary encodings.
+#include <arpa/inet.h>
 #include <gtest/gtest.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <unistd.h>
 
+#include <chrono>
+#include <cstdlib>
+#include <new>
 #include <string>
 #include <thread>
 #include <vector>
@@ -14,8 +22,46 @@
 #include "transport/net_sink.hpp"
 #include "transport/tcp.hpp"
 
+// Heap allocations made by the current thread while counting is on. The
+// replaceable global operator new below feeds it, in this binary only;
+// operator new[] forwards to it by default.
+namespace {
+thread_local bool t_count_allocs = false;
+thread_local std::size_t t_allocs = 0;
+}  // namespace
+
+// Out of line, so GCC does not pair an inlined free() with a new-expression
+// and report -Wmismatched-new-delete.
+[[gnu::noinline]] void* operator new(std::size_t size) {
+  if (t_count_allocs) ++t_allocs;
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
+
 namespace jamm::transport {
 namespace {
+
+template <typename F>
+std::size_t HeapAllocsIn(F&& body) {
+  t_allocs = 0;
+  t_count_allocs = true;
+  body();
+  t_count_allocs = false;
+  return t_allocs;
+}
+
+template <typename F>
+double SecondsFor(F&& body) {
+  const auto start = std::chrono::steady_clock::now();
+  body();
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                       start)
+      .count();
+}
 
 // ------------------------------------------------------------------ frames
 
@@ -367,6 +413,163 @@ TEST(TcpTest, DialBadAddress) {
   auto client = TcpDial("not-an-ip", 1234, 100 * kMillisecond);
   ASSERT_FALSE(client.ok());
   EXPECT_EQ(client.status().code(), StatusCode::kInvalidArgument);
+}
+
+// ------------------------------------------------- timeouts and idle polls
+// One timeout contract on both transports (message.hpp): 0 polls, < 0
+// blocks. A service loop polls far more often than anything arrives, so
+// an empty poll must cost neither a sleep nor a heap allocation.
+
+TEST(TimeoutContractTest, InProcNegativeTimeoutBlocksZeroPolls) {
+  InProcNetwork net;
+  auto listener = net.Listen("ep");
+  ASSERT_TRUE(listener.ok());
+  EXPECT_EQ((*listener)->Accept(0).status().code(), StatusCode::kTimeout);
+  std::thread dialer([&] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    ASSERT_TRUE(net.Dial("ep").ok());
+  });
+  auto server = (*listener)->Accept(-1);
+  dialer.join();
+  ASSERT_TRUE(server.ok()) << server.status().ToString();
+
+  auto [a, b] = MakeChannelPair();
+  EXPECT_EQ(b->Receive(0).status().code(), StatusCode::kTimeout);
+  std::thread sender([&a = a] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    ASSERT_TRUE(a->Send({"late", "1"}).ok());
+  });
+  auto msg = b->Receive(-1);
+  sender.join();
+  ASSERT_TRUE(msg.ok()) << msg.status().ToString();
+  EXPECT_EQ(msg->type, "late");
+
+  std::thread closer([&a = a] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    a->Close();
+  });
+  auto closed = b->Receive(-1);
+  closer.join();
+  EXPECT_EQ(closed.status().code(), StatusCode::kUnavailable);
+}
+
+TEST(TimeoutContractTest, TcpNegativeTimeoutBlocksZeroPolls) {
+  auto listener = TcpListener::Create();
+  ASSERT_TRUE(listener.ok());
+  const std::uint16_t port = (*listener)->port();
+  EXPECT_EQ((*listener)->Accept(0).status().code(), StatusCode::kTimeout);
+  Result<std::unique_ptr<Channel>> client = Status::Unavailable("not dialed");
+  std::thread dialer([&] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    client = TcpDial("127.0.0.1", port);
+  });
+  auto server = (*listener)->Accept(-1);
+  dialer.join();
+  ASSERT_TRUE(server.ok()) << server.status().ToString();
+  ASSERT_TRUE(client.ok());
+
+  EXPECT_EQ((*server)->Receive(0).status().code(), StatusCode::kTimeout);
+  std::thread sender([&] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    ASSERT_TRUE((*client)->Send({"late", "1"}).ok());
+  });
+  auto msg = (*server)->Receive(-1);
+  sender.join();
+  ASSERT_TRUE(msg.ok()) << msg.status().ToString();
+  EXPECT_EQ(msg->type, "late");
+
+  std::thread closer([&] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    (*client)->Close();
+  });
+  auto closed = (*server)->Receive(-1);
+  closer.join();
+  EXPECT_EQ(closed.status().code(), StatusCode::kUnavailable);
+}
+
+TEST(IdlePollTest, TenThousandEmptyInProcPollsNeverSleep) {
+  // A zero-timeout condition_variable::wait_for still sleeps out the
+  // thread's timer slack (~50 µs), so a loop below that reached it would
+  // take over 0.5 s. Without the sleep it takes a few ms, tens of ms under
+  // TSan.
+  constexpr int kPolls = 10'000;
+  InProcNetwork net;
+  auto listener = net.Listen("idle");
+  ASSERT_TRUE(listener.ok());
+  auto [a, b] = MakeChannelPair("idle");
+  int accepted = 0;
+  const double accept_s = SecondsFor([&] {
+    for (int i = 0; i < kPolls; ++i) accepted += (*listener)->Accept(0).ok();
+  });
+  int received = 0;
+  const double receive_s = SecondsFor([&b = b, &received] {
+    for (int i = 0; i < kPolls; ++i) received += b->Receive(0).ok();
+  });
+  EXPECT_EQ(accepted, 0);
+  EXPECT_EQ(received, 0);
+  EXPECT_LT(accept_s, 0.25);
+  EXPECT_LT(receive_s, 0.25);
+  (void)a;
+}
+
+TEST(IdlePollTest, EmptyAcceptAndTryReceivePollsDoNotAllocate) {
+  constexpr int kPolls = 100;
+  InProcNetwork net;
+  auto inproc = net.Listen("idle");
+  ASSERT_TRUE(inproc.ok());
+  auto [a, b] = MakeChannelPair("idle");
+  auto tcp = TcpListener::Create();
+  ASSERT_TRUE(tcp.ok());
+  auto client = TcpDial("127.0.0.1", (*tcp)->port());
+  ASSERT_TRUE(client.ok());
+  auto server = (*tcp)->Accept(kSecond);
+  ASSERT_TRUE(server.ok());
+
+  int got = 0;
+  const std::size_t allocs = HeapAllocsIn([&, &b = b] {
+    for (int i = 0; i < kPolls; ++i) {
+      got += (*inproc)->Accept(0).ok();
+      got += b->TryReceive().has_value();
+      got += (*tcp)->Accept(0).ok();
+      got += (*server)->TryReceive().has_value();
+    }
+  });
+  EXPECT_EQ(got, 0);
+  EXPECT_EQ(allocs, 0u);
+
+  // Still none while only part of a frame has arrived (the decoder checks
+  // both length prefixes before it copies), and the frame is whole once the
+  // rest lands.
+  const std::string frame = EncodeFrame({"event", "payload"});
+  const int raw = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(raw, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  addr.sin_port = htons((*tcp)->port());
+  ASSERT_EQ(::connect(raw, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
+            0);
+  auto accepted = (*tcp)->Accept(kSecond);
+  ASSERT_TRUE(accepted.ok()) << accepted.status().ToString();
+  std::unique_ptr<Channel> partial = std::move(*accepted);
+  ASSERT_EQ(::send(raw, frame.data(), 6, 0), 6);
+  const std::size_t partial_allocs = HeapAllocsIn([&] {
+    for (int i = 0; i < kPolls; ++i) got += partial->TryReceive().has_value();
+  });
+  EXPECT_EQ(got, 0);
+  EXPECT_EQ(partial_allocs, 0u);
+  const auto rest = static_cast<ssize_t>(frame.size() - 6);
+  ASSERT_EQ(::send(raw, frame.data() + 6, frame.size() - 6, 0), rest);
+  std::optional<Message> msg;
+  for (int i = 0; i < 5000 && !msg; ++i) {
+    msg = partial->TryReceive();
+    if (!msg) std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ::close(raw);
+  ASSERT_TRUE(msg.has_value());
+  EXPECT_EQ(msg->type, "event");
+  EXPECT_EQ(msg->payload, "payload");
+  (void)a;
 }
 
 // ---------------------------------------------------------------- net sink

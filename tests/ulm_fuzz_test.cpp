@@ -36,7 +36,8 @@ Record CorpusRecord(Rng& rng) {
     for (int c = 0; c < len; ++c) {
       value += static_cast<char>(rng.Uniform(0, 255));  // any byte is legal
     }
-    rec.SetField("F" + std::to_string(f), std::string_view(value));
+    rec.SetField(std::string("F").append(std::to_string(f)),
+                 std::string_view(value));
   }
   return rec;
 }
@@ -163,7 +164,7 @@ TEST(UlmFuzzTest, HostileKeyCorpusNeverRoundTripsBadKeys) {
   Rng rng(0xFEED05);
   const std::string bad_chars = "\t\n =\"";
   for (int trial = 0; trial < 2000; ++trial) {
-    std::string key = "K" + std::to_string(trial);
+    std::string key = std::string("K").append(std::to_string(trial));
     // Insert after the first byte: a leading delimiter is just inter-pair
     // whitespace, which says nothing about keys.
     const std::size_t pos =

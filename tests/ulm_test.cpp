@@ -328,7 +328,8 @@ TEST(UlmBinaryTest, HugeCallerOffsetRejected) {
 TEST(UlmBinaryTest, BinarySmallerThanAsciiForNumericHeavyRecords) {
   Record rec = SampleRecord();
   for (int i = 0; i < 20; ++i) {
-    rec.SetField("F" + std::to_string(i), static_cast<std::int64_t>(i * 1000));
+    rec.SetField(std::string("F").append(std::to_string(i)),
+                 static_cast<std::int64_t>(i * 1000));
   }
   EXPECT_LT(EncodeBinary(rec).size(), rec.ToAscii().size());
 }
@@ -347,7 +348,8 @@ TEST(UlmBinaryTest, PropertyRandomRecordsRoundTrip) {
       for (int c = 0; c < len; ++c) {
         value += static_cast<char>(rng.Uniform(32, 126));
       }
-      rec.SetField("F" + std::to_string(f), std::string_view(value));
+      rec.SetField(std::string("F").append(std::to_string(f)),
+                   std::string_view(value));
     }
     // Binary round-trip.
     std::string data = EncodeBinary(rec);
